@@ -66,6 +66,17 @@ class LRWList:
         node = self._head.lrw_next
         return None if node is self._tail else node
 
+    def lrw_head(self, n):
+        """The ``n`` least-recently-written nodes, LRW first (snapshot);
+        walks only those nodes."""
+        nodes = []
+        node = self._head.lrw_next
+        tail = self._tail
+        while node is not tail and len(nodes) < n:
+            nodes.append(node)
+            node = node.lrw_next
+        return nodes
+
     def iter_lrw_order(self):
         """Iterate from LRW to MRW (snapshot-safe: collects first)."""
         nodes = []

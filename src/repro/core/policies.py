@@ -52,6 +52,14 @@ class ReplacementPolicy:
         """All buffered blocks, best-victim first (snapshot)."""
         raise NotImplementedError
 
+    def victims(self, n):
+        """The first ``n`` blocks of :meth:`iter_order` (a snapshot).
+
+        Policies that can stop early override this so a reclaim batch
+        does not build the whole order just to take its head.
+        """
+        return self.iter_order()[:n]
+
     def __len__(self):
         raise NotImplementedError
 
@@ -78,6 +86,9 @@ class LRWPolicy(ReplacementPolicy):
 
     def iter_order(self):
         return self._list.iter_lrw_order()
+
+    def victims(self, n):
+        return self._list.lrw_head(n)
 
     def __len__(self):
         return len(self._list)

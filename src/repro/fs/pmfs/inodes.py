@@ -14,6 +14,7 @@ most recent synchronization operation (paper, footnote 4); PMFS itself
 never reads it.
 """
 
+import heapq
 import struct
 
 from repro.fs.pmfs.layout import (
@@ -108,7 +109,7 @@ class InodeTable:
         self.journal = journal
         self.sb = sb
         self._mirror = {}
-        self._free = set(range(1, sb.inode_count + 1))
+        self._reset_free(range(1, sb.inode_count + 1))
 
     # -- mirror access ----------------------------------------------------
 
@@ -151,7 +152,7 @@ class InodeTable:
             from repro.fs.errors import NoSpace
 
             raise NoSpace("inode table full")
-        ino = min(self._free)
+        ino = heapq.heappop(self._free_heap)
         self._free.remove(ino)
         inode = PmfsInode(ino)
         inode.kind = kind
@@ -163,25 +164,36 @@ class InodeTable:
         return inode
 
     def free(self, ctx, tx, inode):
+        if inode.ino in self._free:
+            raise ValueError("double free of inode %d" % inode.ino)
         inode.kind = KIND_FREE
         inode.nlink = 0
         inode.size = 0
         self.write_core(ctx, tx, inode)
         self._mirror.pop(inode.ino, None)
         self._free.add(inode.ino)
+        heapq.heappush(self._free_heap, inode.ino)
+
+    def _reset_free(self, free_inos):
+        """Install the free inodes: a set for membership and a min-heap
+        so :meth:`alloc` takes the lowest free number in O(log n)."""
+        self._free = set(free_inos)
+        self._free_heap = sorted(self._free)
 
     # -- recovery -----------------------------------------------------------
 
     def load_from_nvmm(self):
         """Rebuild the mirror and free set by scanning the NVMM table."""
         self._mirror.clear()
-        self._free = set(range(1, self.sb.inode_count + 1))
+        free = []
         for ino in range(1, self.sb.inode_count + 1):
             raw = self.device.mem.read(inode_addr(self.sb, ino), 152)
             inode = PmfsInode.unpack(ino, raw)
             if inode.kind != KIND_FREE:
                 self._mirror[ino] = inode
-                self._free.discard(ino)
+            else:
+                free.append(ino)
+        self._reset_free(free)
 
 
 __all__ = ["InodeTable", "PmfsInode", "KIND_DIR", "KIND_FILE", "KIND_FREE"]

@@ -53,7 +53,8 @@ ENTRY_PAYLOAD_MAX = 40
 #: Byte offset/size of the csum field inside a packed entry.
 _CSUM_OFFSET = struct.calcsize("<4sIBBHQ")
 _CSUM_SIZE = 4
-_ENTRY_PACK = struct.Struct(ENTRY_FMT).pack
+_ENTRY_PACK_INTO = struct.Struct(ENTRY_FMT).pack_into
+_CSUM_PACK_INTO = struct.Struct("<I").pack_into
 assert struct.calcsize(ENTRY_FMT) == ENTRY_SIZE
 
 
@@ -119,6 +120,8 @@ class Journal:
         self._head = 0
         self._next_tx_id = 1
         self._open_txs = {}
+        #: Reused pack buffer for entries; stores copy out of it.
+        self._entry = bytearray(ENTRY_SIZE)
         self.gen = self._read_header_gen()
         if self.gen == 0:
             self.gen = 1
@@ -146,10 +149,8 @@ class Journal:
         self.device.mem.write_nocache(self.base_addr, self._header_bytes())
 
     def _write_header(self, ctx):
-        self.device.write_cached(ctx, self.base_addr, self._header_bytes(),
-                                 CAT_OTHERS)
-        self.device.clflush(ctx, self.base_addr, ENTRY_SIZE, CAT_OTHERS)
-        self.device.fence(ctx)
+        self.device.store_flush(ctx, self.base_addr, self._header_bytes(),
+                                CAT_OTHERS, fence=True)
 
     def _slot_addr(self, slot):
         return self.base_addr + (slot + 1) * ENTRY_SIZE
@@ -165,22 +166,21 @@ class Journal:
         return tx
 
     def log_undo(self, ctx, tx, addr, length):
-        """Capture the current bytes of ``[addr, addr+length)`` as undo."""
+        """Capture the current bytes of ``[addr, addr+length)`` as undo.
+
+        The range is read once and cut into payload-sized entries.
+        """
         if not tx.open:
             raise ValueError("transaction %d already closed" % tx.tx_id)
-        offset = 0
-        while offset < length:
-            take = min(ENTRY_PAYLOAD_MAX, length - offset)
-            old = self.device.mem.read(addr + offset, take)
-            self._append(ctx, tx, KIND_UNDO, addr + offset, old)
-            offset += take
+        old = self.device.mem.read(addr, length)
+        for offset in range(0, length, ENTRY_PAYLOAD_MAX):
+            self._append(ctx, tx, KIND_UNDO, addr + offset,
+                         old[offset : offset + ENTRY_PAYLOAD_MAX])
 
     def journaled_write(self, ctx, tx, addr, new_bytes):
         """Undo-log then mutate a metadata range in place (flushed)."""
-        new_bytes = bytes(new_bytes)
         self.log_undo(ctx, tx, addr, len(new_bytes))
-        self.device.write_cached(ctx, addr, new_bytes, CAT_OTHERS)
-        self.device.clflush(ctx, addr, len(new_bytes), CAT_OTHERS)
+        self.device.store_flush(ctx, addr, new_bytes, CAT_OTHERS)
 
     def commit(self, ctx, tx):
         """Append the COMMIT entry; the transaction becomes durable."""
@@ -206,25 +206,18 @@ class Journal:
             raise JournalFullError(
                 "transaction %d overran the journal reserve" % tx.tx_id
             )
-        padded = payload.ljust(ENTRY_PAYLOAD_MAX, b"\0")
-        entry = _ENTRY_PACK(
-            ENTRY_MAGIC, tx.tx_id, kind, self.gen, len(payload), addr,
-            0, padded,
-        )
+        # Pack once (the "40s" field zero-pads the payload) with a zero
+        # csum, so the CRC of the buffer *is* entry_checksum(entry); then
+        # fill the csum field in place.
+        entry = self._entry
+        _ENTRY_PACK_INTO(entry, 0, ENTRY_MAGIC, tx.tx_id, kind, self.gen,
+                         len(payload), addr, 0, payload)
         if self.checksums:
-            # The csum field above is zero, so the CRC of the packed
-            # entry *is* entry_checksum(entry); repack with it filled in.
-            csum = zlib.crc32(entry) & 0xFFFFFFFF
-            entry = _ENTRY_PACK(
-                ENTRY_MAGIC, tx.tx_id, kind, self.gen, len(payload), addr,
-                csum, padded,
-            )
+            _CSUM_PACK_INTO(entry, _CSUM_OFFSET, zlib.crc32(entry))
         # One cacheline: write, flush, fence -- the entry (including its
         # generation stamp) becomes persistent atomically.
-        slot_addr = self._slot_addr(self._head)
-        self.device.write_cached(ctx, slot_addr, entry, CAT_OTHERS)
-        self.device.clflush(ctx, slot_addr, ENTRY_SIZE, CAT_OTHERS)
-        self.device.fence(ctx)
+        self.device.store_flush(ctx, self._slot_addr(self._head), entry,
+                                CAT_OTHERS, fence=True)
         self._head += 1
         tx.entries += 1
 
@@ -282,8 +275,7 @@ class Journal:
             if record["committed"]:
                 continue
             for addr, old in reversed(record["undo"]):
-                self.device.write_cached(ctx, addr, old, CAT_OTHERS)
-                self.device.clflush(ctx, addr, len(old), CAT_OTHERS)
+                self.device.store_flush(ctx, addr, old, CAT_OTHERS)
             self.device.fence(ctx)
             rolled_back += 1
         # Invalidate the whole ring by starting a fresh generation.

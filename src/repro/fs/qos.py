@@ -70,30 +70,45 @@ class TokenBucket:
     pins down.
     """
 
-    __slots__ = ("rate_bps", "burst_bytes", "_tokens", "_last_ns")
+    __slots__ = ("_rate_bps", "burst_bytes", "_tokens", "_last_ns",
+                 "_settle")
 
-    def __init__(self, rate_bps, burst_bytes, start_ns=0):
+    def __init__(self, rate_bps, burst_bytes, start_ns=0, settle=None):
         if rate_bps <= 0:
             raise ValueError("rate_bps must be positive")
         if burst_bytes < 0:
             raise ValueError("burst_bytes must be non-negative")
-        self.rate_bps = int(rate_bps)
+        self._rate_bps = int(rate_bps)
         self.burst_bytes = int(burst_bytes)
         self._tokens = self.burst_bytes * _SCALE
         self._last_ns = int(start_ns)
+        #: Called before every rate read, or None: the owning
+        #: controller's deferred rebalance, so a bucket never acts on a
+        #: share computed before the latest registration.
+        self._settle = settle
 
-    def _refill(self, now_ns):
+    @property
+    def rate_bps(self):
+        if self._settle is not None:
+            self._settle()
+        return self._rate_bps
+
+    @rate_bps.setter
+    def rate_bps(self, value):
+        self._rate_bps = int(value)
+
+    def _refill(self, now_ns, rate_bps):
         elapsed = now_ns - self._last_ns
         if elapsed > 0:
             self._tokens = min(
                 self.burst_bytes * _SCALE,
-                self._tokens + self.rate_bps * elapsed,
+                self._tokens + rate_bps * elapsed,
             )
             self._last_ns = now_ns
 
     def peek_tokens(self, now_ns):
         """Bytes available at ``now_ns`` (may be negative while in debt)."""
-        self._refill(now_ns)
+        self._refill(now_ns, self.rate_bps)
         return self._tokens // _SCALE
 
     def take(self, now_ns, nbytes):
@@ -101,13 +116,14 @@ class TokenBucket:
         the request counts as admitted (0 when tokens covered it)."""
         if nbytes < 0:
             raise ValueError("negative byte count")
-        self._refill(int(now_ns))
+        rate_bps = self.rate_bps
+        self._refill(int(now_ns), rate_bps)
         self._tokens -= int(nbytes) * _SCALE
         if self._tokens >= 0:
             return 0
         # Exact time for the refill rate to pay off the debt:
         # ceil(-tokens / rate) == -floor(tokens / rate) for tokens < 0.
-        return -(self._tokens // self.rate_bps)
+        return -(self._tokens // rate_bps)
 
 
 class TenantState:
@@ -172,6 +188,9 @@ class QosController:
         self.overloaded = False
         self._tenants = {}
         self._total_weight = 0
+        #: A registration changed the weight total since the last
+        #: rebalance; the next bucket-rate read rebalances first.
+        self._rates_stale = False
         self._slots = (env.resource(NVMM_WRITE_RESOURCE)
                        if env.has_resource(NVMM_WRITE_RESOURCE) else None)
 
@@ -181,7 +200,9 @@ class QosController:
                  burst_bytes=None, start_ns=0):
         """Register ``tenant`` and (re)split capacity across all weights.
 
-        Returns the tenant's :class:`TenantState`.
+        The split is deferred to the next bucket-rate read, so attaching
+        a fleet costs one rebalance, not one per tenant.  Returns the
+        tenant's :class:`TenantState`.
         """
         if weight <= 0:
             raise ValueError("weight must be positive")
@@ -189,15 +210,21 @@ class QosController:
             raise ValueError("tenant %r already registered" % (tenant,))
         if burst_bytes is None:
             burst_bytes = self.default_burst_bytes
-        bucket = TokenBucket(1, burst_bytes, start_ns=start_ns)
+        bucket = TokenBucket(1, burst_bytes, start_ns=start_ns,
+                             settle=self._settle_rates)
         state = TenantState(tenant, int(weight), priority, bucket)
         self._tenants[tenant] = state
         self._total_weight += state.weight
-        self._rebalance()
+        self._rates_stale = True
         return state
+
+    def _settle_rates(self):
+        if self._rates_stale:
+            self._rebalance()
 
     def _rebalance(self):
         """Recompute every bucket's rate as its weighted share."""
+        self._rates_stale = False
         total = self._total_weight
         for state in self._tenants.values():
             state.bucket.rate_bps = max(

@@ -119,6 +119,40 @@ class CachedPersistentRegion:
         if self.observer is not None:
             self.observer.on_persist(addr, bytes(data))
 
+    def write_flush(self, addr, data):
+        """A cached store immediately followed by ``clflush`` of its range.
+
+        Same end state as :meth:`write` then :meth:`clflush` over
+        ``[addr, addr+len(data))``: the store lands in the current slab,
+        every line it touches becomes durable, and none stays dirty.
+        Returns the number of lines flushed (every touched line, since
+        the store dirtied them all).  Observer-free regions only -- an
+        observer needs the separate store/persist/boundary events, so
+        callers with one attached use the two reference methods.
+        """
+        length = len(data)
+        if addr < 0 or addr + length > self.size:
+            raise IndexError("store outside region")
+        if length == 0:
+            return 0
+        # Bounds are checked above, so both slabs are addressed directly
+        # (one slice assign each, no per-call view objects).
+        current = self._current
+        current._data[addr : addr + length] = data
+        first = addr // CACHELINE_SIZE
+        last = (addr + length - 1) // CACHELINE_SIZE
+        nlines = last - first + 1
+        if self._dirty_count:
+            flags = self._flags
+            already = sum(flags[first : last + 1])
+            if already:
+                flags[first : last + 1] = bytes(nlines)
+                self._dirty_count -= already
+        base = first * CACHELINE_SIZE
+        end = min(base + nlines * CACHELINE_SIZE, self.size)
+        self._persistent._data[base:end] = current._mv[base:end]
+        return nlines
+
     # -- flush / ordering ---------------------------------------------------
 
     def clflush(self, addr, length):

@@ -30,6 +30,9 @@ class NVMMDevice:
       volatile until :meth:`clflush` (journal entries before their flush).
     - :meth:`clflush` + :meth:`fence` -- flush dirty lines, paying NVMM
       write cost for each, then order.
+
+    :meth:`store_flush` fuses ``write_cached`` + ``clflush`` (+ ``fence``)
+    into one call with the same cost; the journal stores through it.
     """
 
     def __init__(self, env, config, size, domain=None):
@@ -268,6 +271,47 @@ class NVMMDevice:
         """mfence: an ordering point."""
         ctx.charge(self.config.fence_ns, category)
         self.mem.fence()
+
+    def store_flush(self, ctx, addr, data, category=CAT_OTHERS, fence=False):
+        """Cached store + ``clflush`` of its range (+ ``fence``), fused.
+
+        Exactly :meth:`write_cached` then :meth:`clflush` over
+        ``[addr, addr+len(data))`` (then :meth:`fence` when ``fence``):
+        the same charges and categories, the same writer-slot grant for
+        the touched lines, the same ``bytes_written_nvmm`` and the same
+        ``nvmm`` trace phase -- in one data-plane pass and one
+        ``reserve`` instead of the per-line flush chain.  This is the
+        journal's primitive: every undo entry, in-place metadata update
+        and header write is one such store.
+
+        With a fault model or a persistence observer attached the three
+        reference methods run instead, so media-error retries and the
+        crash explorers' store/persist/boundary/fence event sequence
+        stay exactly as before.
+        """
+        mem = self.mem
+        if self.fault_model is not None or mem.observer is not None:
+            self.write_cached(ctx, addr, data, category)
+            self.clflush(ctx, addr, len(data), category)
+            if fence:
+                self.fence(ctx)
+            return
+        nlines = mem.write_flush(addr, data)
+        config = self.config
+        ctx.charge(config.dram_store_cost_ns(len(data)), category)
+        span = getattr(ctx, "trace_span", None)
+        start = ctx.now if span is not None else 0
+        if not getattr(ctx, "free", False):
+            if nlines:
+                grant = self.write_slots.reserve(
+                    ctx.now, config.nvmm_persist_cost_ns(nlines))
+                self._note_slot_grant()
+                ctx.sync_to(grant.end_ns, category)
+            self.env.stats.bytes_written_nvmm += nlines * CACHELINE_SIZE
+        if span is not None:
+            span.add_phase(LAYER_NVMM, start, ctx.now)
+        if fence:
+            ctx.charge(config.fence_ns, CAT_OTHERS)
 
     # -- crash ------------------------------------------------------------
 

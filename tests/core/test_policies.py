@@ -175,3 +175,5 @@ def test_policy_never_loses_or_duplicates_blocks(name, ops):
                 assert victim in live.values()
         assert len(policy) == len(live)
         assert sorted(b.file_block for b in policy.iter_order()) == sorted(live)
+        for n in (0, 1, 3, len(live), len(live) + 2):
+            assert policy.victims(n) == policy.iter_order()[:n]

@@ -143,6 +143,25 @@ def test_weighted_shares_rebalance_on_registration():
     assert b.bucket.rate_bps == 750
 
 
+def test_deferred_rebalance_matches_per_registration_split():
+    qos = QosController(SimEnv(), 10_007)
+    weights = [1, 3, 2, 7, 1, 5]
+    states = [qos.register("t%d" % i, weight=w)
+              for i, w in enumerate(weights)]
+    # No rate was read between registrations: one split covers them all.
+    assert qos._rates_stale
+    total = sum(weights)
+    assert [s.bucket.rate_bps for s in states] == [
+        max(1, 10_007 * w // total) for w in weights]
+    assert not qos._rates_stale
+    # A later registration is reflected by the next admission's debit.
+    late = qos.register("late", weight=4)
+    ctx = _Ctx()
+    qos.admit(ctx, _req("late", 1 << 20))
+    assert not qos._rates_stale
+    assert late.bucket._rate_bps == 10_007 * 4 // (total + 4)
+
+
 def test_untenanted_and_unregistered_traffic_bypasses():
     qos = QosController(SimEnv(), 1)  # 1 B/s: would throttle anything
     ctx = _Ctx()
