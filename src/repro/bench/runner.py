@@ -64,9 +64,6 @@ class RunResult:
     def nvmm_bytes_written(self):
         return self.stats.bytes_written_nvmm
 
-    def syscall_seconds(self, syscall):
-        return self.stats.syscall_time_ns.get(syscall, 0) / 1e9
-
     def __repr__(self):
         return "RunResult(%s/%s: %.0f ops/s, %.3f ms)" % (
             self.fs_name,

@@ -4,14 +4,13 @@ HiNFS buffers *lazy-persistent* file writes in DRAM to hide NVMM's long
 write latency, while keeping *reads* and *eager-persistent* writes on the
 direct single-copy path to avoid double-copy overheads:
 
-- :mod:`repro.core.btree` -- the in-DRAM B-tree underlying the per-file
-  DRAM Block Index (Figure 5).
 - :mod:`repro.core.bitmap` -- the Cacheline Bitmap tracking which lines
   of a buffered block are valid in DRAM and which are dirty (Section
   3.2.1, CLFW).
 - :mod:`repro.core.lrw` -- the global Least-Recently-Written list.
-- :mod:`repro.core.buffer` -- the DRAM write buffer (allocation,
-  Low_f/High_f watermarks, fetch/writeback at cacheline granularity).
+- :mod:`repro.core.buffer` -- the DRAM write buffer (the per-file DRAM
+  Block Index of Figure 5, allocation, Low_f/High_f watermarks,
+  fetch/writeback at cacheline granularity).
 - :mod:`repro.core.benefit` -- the Buffer Benefit Model with its ghost
   buffer (Section 3.3.2) deciding eager- vs lazy-persistent block states.
 - :mod:`repro.core.writeback` -- the background writeback timeline
@@ -22,8 +21,7 @@ direct single-copy path to avoid double-copy overheads:
   HiNFS-WB (no eager-persistent write checker).
 """
 
-from repro.core.btree import BTree
 from repro.core.config import HiNFSConfig
 from repro.core.hinfs import HiNFS, make_hinfs_nclfw, make_hinfs_wb
 
-__all__ = ["BTree", "HiNFS", "HiNFSConfig", "make_hinfs_nclfw", "make_hinfs_wb"]
+__all__ = ["HiNFS", "HiNFSConfig", "make_hinfs_nclfw", "make_hinfs_wb"]

@@ -4,22 +4,23 @@ Holds lazy-persistent writes in DRAM blocks until the background
 writeback threads (or an fsync) persist them to NVMM.  Three structures
 from the paper live here:
 
-- the **DRAM Block Index**: a per-file B-tree keyed by the block-aligned
-  file offset whose index nodes carry the DRAM block number and the
-  corresponding NVMM block number (Figure 5);
+- the **DRAM Block Index**: a per-file map keyed by the block-aligned
+  file offset whose entries carry the DRAM block number and the
+  corresponding NVMM block number (Figure 5).  The paper uses a B-tree;
+  here it is a ``dict`` (lookups are charged as the constant
+  ``index_lookup_ns``, so the container's shape is never observed) and
+  :meth:`WriteBuffer.file_blocks` sorts on demand for offset order;
 - the **Cacheline Bitmap** on every buffered block (Section 3.2.1);
 - the global **LRW list** ordering blocks by last written time.
 
 The index is sharded by ``ino % buffer_shards``: each shard owns the
-B-trees of its inodes plus an insertion-ordered dirty list, so parallel
-writeback workers scan and flush their shards without touching a global
-structure.  Victim *ordering* stays global (one policy instance) --
+per-file maps of its inodes plus an insertion-ordered dirty list, so
+parallel writeback workers scan and flush their shards without touching
+a global structure.  Victim *ordering* stays global (one policy instance) --
 sharding distributes the work, not the replacement decision.
 """
 
 from repro.core.bitmap import CachelineBitmap
-from repro.core.btree import BTree
-from repro.core.lrw import LRWNode
 from repro.core.policies import make_policy
 from repro.engine.stats import CAT_WRITE_ACCESS
 from repro.nvmm.allocator import BlockAllocator, OutOfSpaceError
@@ -27,7 +28,7 @@ from repro.nvmm.device import DRAMDevice
 from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE, lines_spanned
 
 
-class BufferBlock(LRWNode):
+class BufferBlock:
     """One buffered DRAM block: the paper's Index Node plus line state."""
 
     __slots__ = (
@@ -42,7 +43,6 @@ class BufferBlock(LRWNode):
     )
 
     def __init__(self, ino, file_block, dram_block, nvmm_block):
-        super().__init__()
         self.ino = ino
         self.file_block = file_block
         self.dram_block = dram_block
@@ -83,7 +83,7 @@ class BufferShard:
     __slots__ = ("index", "dirty")
 
     def __init__(self):
-        # ino -> BTree(file_block -> BufferBlock): this shard's slice of
+        # ino -> {file_block: BufferBlock}: this shard's slice of
         # the DRAM Block Index.
         self.index = {}
         # (ino, file_block) -> BufferBlock, in first-dirtied order; the
@@ -134,10 +134,10 @@ class WriteBuffer:
         return self._shards[self.shard_of(ino)]
 
     def lookup(self, ino, file_block):
-        tree = self.shard(ino).index.get(ino)
-        if tree is None:
+        blocks = self.shard(ino).index.get(ino)
+        if blocks is None:
             return None
-        return tree.get(file_block)
+        return blocks.get(file_block)
 
     def insert(self, ino, file_block, nvmm_block):
         """Allocate a DRAM block and index it; caller guarantees space."""
@@ -148,12 +148,7 @@ class WriteBuffer:
                 "buffer insert without a free block; caller must reclaim first"
             ) from None
         block = BufferBlock(ino, file_block, dram_block, nvmm_block)
-        index = self.shard(ino).index
-        tree = index.get(ino)
-        if tree is None:
-            tree = BTree()
-            index[ino] = tree
-        tree.insert(file_block, block)
+        self.shard(ino).index.setdefault(ino, {})[file_block] = block
         self.policy.on_buffered(block)
         self.env.stats.bump("buffer_inserts")
         return block
@@ -165,10 +160,10 @@ class WriteBuffer:
         dirty lines first.
         """
         shard = self.shard(block.ino)
-        tree = shard.index.get(block.ino)
-        if tree is not None:
-            tree.remove(block.file_block)
-            if len(tree) == 0:
+        blocks = shard.index.get(block.ino)
+        if blocks is not None:
+            blocks.pop(block.file_block, None)
+            if not blocks:
                 del shard.index[block.ino]
         shard.dirty.pop((block.ino, block.file_block), None)
         self.policy.on_evict(block)
@@ -177,18 +172,14 @@ class WriteBuffer:
 
     def file_blocks(self, ino):
         """All buffered blocks of a file, in file-offset order."""
-        tree = self.shard(ino).index.get(ino)
-        if tree is None:
+        blocks = self.shard(ino).index.get(ino)
+        if blocks is None:
             return []
-        return [block for _, block in tree.items()]
+        return [blocks[fb] for fb in sorted(blocks)]
 
     def all_blocks_lrw_order(self):
         """Every buffered block, best-victim first (policy order)."""
         return self.policy.iter_order()
-
-    def shard_dirty_blocks(self, shard_id):
-        """One shard's dirty blocks, first-dirtied first."""
-        return list(self._shards[shard_id].dirty.values())
 
     def dirty_blocks(self):
         """Every dirty block, shard by shard (deterministic order)."""

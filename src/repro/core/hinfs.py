@@ -225,13 +225,8 @@ class HiNFS(PMFS):
                     tail.next = pending
             self._file_tx_tail[ino] = pending
             pending.maybe_commit(ctx, self.journal)
-        if self.buffer.below_low_watermark or self._journal_pressure():
+        if self.buffer.below_low_watermark or self.journal.needs_relief:
             self.writeback.signal_pressure(ctx.now)
-
-    def _journal_pressure(self):
-        """Ask for background flushing well before the ring must wrap, so
-        the wrap barrier rarely lands on the foreground."""
-        return self.journal.used_slots > int(0.35 * self.journal.capacity)
 
     def _barrier_file(self, ctx, ino):
         """Close every open deferred transaction of a file, in order.

@@ -2,86 +2,48 @@
 
 All buffered DRAM blocks are kept sorted by last written time.  A write
 moves a block to the MRW (most-recently-written) end; the writeback
-threads pick victims from the LRW end.  Implemented as an intrusive
-doubly-linked list with two sentinels, so every operation is O(1).
+threads pick victims from the LRW end.  Backed by one ``OrderedDict``
+keyed by the node (first key = LRW end), so every operation is O(1).
 """
 
-
-class LRWNode:
-    """Mixin/base giving an object a place in one LRW list."""
-
-    __slots__ = ("lrw_prev", "lrw_next")
-
-    def __init__(self):
-        self.lrw_prev = None
-        self.lrw_next = None
+from collections import OrderedDict
+from itertools import islice
 
 
 class LRWList:
-    """Intrusive doubly-linked list: head = LRW victim end, tail = MRW."""
+    """Recency order over hashable nodes: first = LRW victim, last = MRW."""
+
+    __slots__ = ("_order",)
 
     def __init__(self):
-        self._head = LRWNode()  # sentinel before the LRW-most node
-        self._tail = LRWNode()  # sentinel after the MRW-most node
-        self._head.lrw_next = self._tail
-        self._tail.lrw_prev = self._head
-        self._size = 0
+        self._order = OrderedDict()
 
     def __len__(self):
-        return self._size
+        return len(self._order)
 
     def __contains__(self, node):
-        return node.lrw_prev is not None
-
-    def _unlink(self, node):
-        node.lrw_prev.lrw_next = node.lrw_next
-        node.lrw_next.lrw_prev = node.lrw_prev
-        node.lrw_prev = None
-        node.lrw_next = None
-
-    def _link_mrw(self, node):
-        last = self._tail.lrw_prev
-        last.lrw_next = node
-        node.lrw_prev = last
-        node.lrw_next = self._tail
-        self._tail.lrw_prev = node
+        return node in self._order
 
     def touch(self, node):
         """Insert or move ``node`` to the MRW position."""
-        if node.lrw_prev is not None:
-            self._unlink(node)
+        order = self._order
+        if node in order:
+            order.move_to_end(node)
         else:
-            self._size += 1
-        self._link_mrw(node)
+            order[node] = None
 
     def remove(self, node):
         """Drop ``node`` from the list (no-op if absent)."""
-        if node.lrw_prev is None:
-            return
-        self._unlink(node)
-        self._size -= 1
+        self._order.pop(node, None)
 
     def lrw_victim(self):
         """The least-recently-written node, or None when empty."""
-        node = self._head.lrw_next
-        return None if node is self._tail else node
+        return next(iter(self._order), None)
 
     def lrw_head(self, n):
-        """The ``n`` least-recently-written nodes, LRW first (snapshot);
-        walks only those nodes."""
-        nodes = []
-        node = self._head.lrw_next
-        tail = self._tail
-        while node is not tail and len(nodes) < n:
-            nodes.append(node)
-            node = node.lrw_next
-        return nodes
+        """The ``n`` least-recently-written nodes, LRW first (snapshot)."""
+        return list(islice(self._order, n))
 
     def iter_lrw_order(self):
-        """Iterate from LRW to MRW (snapshot-safe: collects first)."""
-        nodes = []
-        node = self._head.lrw_next
-        while node is not self._tail:
-            nodes.append(node)
-            node = node.lrw_next
-        return nodes
+        """Every node from LRW to MRW (a snapshot list)."""
+        return list(self._order)

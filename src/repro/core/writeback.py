@@ -236,8 +236,7 @@ class WritebackPool(BackgroundTask):
     def _journal_relief(self):
         """Close deferred-commit transactions before the journal ring has
         to wrap, so the wrap barrier rarely stalls the foreground."""
-        journal = self.hinfs.journal
-        if journal.used_slots <= int(0.35 * journal.capacity):
+        if not self.hinfs.journal.needs_relief:
             return
         victims = [block for block in self.hinfs.buffer.all_blocks_lrw_order()
                    if block.pending_txs]
@@ -270,7 +269,3 @@ class WritebackPool(BackgroundTask):
         ]
         self._flush_distributed("periodic", victims)
         self.env.stats.bump("writeback_periodic_blocks", len(victims))
-
-
-#: Historical name, kept for callers predating the worker pool.
-WritebackTask = WritebackPool

@@ -103,6 +103,10 @@ class ExecContext:
     __slots__ = ("env", "name", "clock", "waiting_on", "trace_span",
                  "held_locks")
 
+    #: True on contexts whose charges are discarded (:class:`FreeContext`);
+    #: the device then books no writer-slot time and no NVMM bytes.
+    free = False
+
     def __init__(self, env, name="ctx", start_ns=0):
         self.env = env
         self.name = name
@@ -205,3 +209,21 @@ class ExecContext:
 
     def __repr__(self):
         return "ExecContext(name=%r, now=%d)" % (self.name, self.clock.now)
+
+
+class FreeContext(ExecContext):
+    """A context whose time/resource charges are discarded.
+
+    Used for mkfs, mount-time recovery and to pre-allocate filesets
+    before the measured run begins (the paper, like filebench,
+    pre-allocates 5 GB filesets and clears caches before measuring).
+    """
+
+    __slots__ = ()
+    free = True
+
+    def charge(self, ns, category=None):
+        return self.clock.now
+
+    def sync_to(self, target_ns, category=None):
+        return self.clock.now

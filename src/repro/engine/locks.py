@@ -220,12 +220,6 @@ class VRWLock(_VLockBase):
             self._write_free_at = ctx.now
         self.writer = None
 
-    def read_held(self, ctx):
-        return _HeldCM(self, ctx, self.acquire_read, self.release_read)
-
-    def write_held(self, ctx):
-        return _HeldCM(self, ctx, self.acquire_write, self.release_write)
-
     def __repr__(self):
         return "VRWLock(%r, wfree=%d, rfree=%d, writer=%r)" % (
             self.name, self._write_free_at, self._read_free_at, self.writer,

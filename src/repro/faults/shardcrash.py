@@ -24,9 +24,9 @@ reconciliation -- and checks the recovery contract:
   original payload.
 """
 
+from repro.engine.context import FreeContext
 from repro.engine.env import SimEnv
 from repro.fs.base import ROOT_INO
-from repro.fs.pmfs.pmfs import _FreeContext
 from repro.fs.shard import (
     _CrashRequested,
     build_sharded,
@@ -152,7 +152,7 @@ def explore_cross_shard_rename(base="hinfs", nshards=2, with_victim=False):
         env, fs = _build(base, nshards)
         ctx = prepare_context(env)
         src_name, dst_name = _pick_names(nshards)
-        free = _FreeContext(env)
+        free = FreeContext(env, "setup")
         src_g = fs.create_file(free, ROOT_INO, src_name)
         s, local = fs._dec(src_g)
         fs.shards[s].write(free, local, 0, src_data, eager=True)
@@ -185,7 +185,7 @@ def explore_cross_shard_rename(base="hinfs", nshards=2, with_victim=False):
                 boundary, "crash hook never fired (protocol path changed?)"))
             continue
         _env2, fs2 = _remount(fs, base)
-        free2 = _FreeContext(_env2)
+        free2 = FreeContext(_env2, "check")
         _old_g, old_data = _resolve(fs2, free2, src_name)
         _new_g, new_data = _resolve(fs2, free2, dst_name)
         holders = [nm for nm, data in ((src_name, old_data),
@@ -228,4 +228,3 @@ def explore_all(bases=("hinfs", "pmfs"), shard_counts=(2, 4)):
                 reports.append(explore_cross_shard_rename(
                     base, nshards, with_victim=with_victim))
     return reports
-

@@ -199,6 +199,13 @@ class Journal:
     def used_slots(self):
         return self._head
 
+    @property
+    def needs_relief(self):
+        """More than 35% of the ring is in use: HiNFS asks writeback to
+        close deferred commits well before the ring must wrap, so the
+        wrap barrier rarely lands on the foreground."""
+        return self._head > int(0.35 * self.capacity)
+
     # -- ring management --------------------------------------------------
 
     def _append(self, ctx, tx, kind, addr, payload):

@@ -7,6 +7,7 @@ journal.  This is the behaviour the paper's Figure 1 profiles and
 Figures 7-13 use as the baseline.
 """
 
+from repro.engine.context import FreeContext
 from repro.engine.stats import CAT_OTHERS
 from repro.fs.base import FileStat, FileSystem, ROOT_INO, S_IFDIR, S_IFREG
 from repro.fs.errors import (
@@ -65,7 +66,7 @@ class PMFS(FileSystem):
         """Write the superblock and the root directory (data plane only --
         formatting happens before the measured run)."""
         self.device.mem.write_nocache(0, self.sb.pack())
-        mkfs_ctx = _FreeContext(self.env)
+        mkfs_ctx = FreeContext(self.env, "mkfs")
         tx = self.journal.begin(mkfs_ctx)
         root = self.itable.alloc(mkfs_ctx, tx, KIND_DIR, 0)
         assert root.ino == ROOT_INO
@@ -94,7 +95,7 @@ class PMFS(FileSystem):
             finally:
                 device.fault_model = model
             degraded = "journal region unreadable: %s" % exc
-        ctx = _FreeContext(env)
+        ctx = FreeContext(env, "mount")
         if degraded is None:
             try:
                 fs.journal.recover(ctx)
@@ -518,19 +519,3 @@ class PMFS(FileSystem):
 
     def free_data_bytes(self, ctx):
         return self.balloc.free_count * BLOCK_SIZE
-
-
-class _FreeContext:
-    """A context whose charges are discarded (mkfs / recovery setup)."""
-
-    free = True
-
-    def __init__(self, env):
-        self.env = env
-        self.now = 0
-
-    def charge(self, ns, category=None):
-        return 0
-
-    def sync_to(self, target_ns, category=None):
-        return 0

@@ -313,12 +313,6 @@ class QosController:
         stats.bump("qos_admitted_ops")
         stats.bump("qos_admitted_bytes", req.total_bytes)
 
-    # -- reporting --------------------------------------------------------
-
-    def fairness_snapshot(self):
-        """``{tenant: admitted_bytes}`` for fairness-spread computation."""
-        return {t: s.admitted_bytes for t, s in self._tenants.items()}
-
     def __repr__(self):
         return "QosController(%d tenants, cap=%dB/s, overloaded=%s)" % (
             len(self._tenants), self.capacity_bps, self.overloaded,

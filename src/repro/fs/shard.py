@@ -61,10 +61,10 @@ import json
 import struct
 import zlib
 
+from repro.engine.context import FreeContext
 from repro.fs.base import FileStat, FileSystem, ROOT_INO
 from repro.fs.errors import NotADirectory, ReadOnly
 from repro.fs.health import DEGRADED_RO, HEALTHY, ISOLATED, MountHealth, OVERLOADED
-from repro.fs.pmfs.pmfs import _FreeContext
 from repro.io import OP_WRITE
 
 #: Namespace entries the shard layer keeps for itself (never listed).
@@ -147,7 +147,7 @@ class ShardedFS(FileSystem):
         #: Crash-point hook for the explorer: called with a boundary name
         #: at each step of the cross-shard protocol.
         self._xmv_hook = None
-        free = _FreeContext(env)
+        free = FreeContext(env, "shard-setup")
         if mounted:
             self._mount(free)
         else:

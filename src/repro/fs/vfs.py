@@ -135,10 +135,6 @@ class VFS:
         return not self.health.writable
 
     @property
-    def ro_reason(self):
-        return self.health.reason
-
-    @property
     def media_errors(self):
         return self.health.media_errors
 

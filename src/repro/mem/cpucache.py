@@ -59,17 +59,6 @@ class CachedPersistentRegion:
     def num_lines(self):
         return -(-self.size // CACHELINE_SIZE)
 
-    # -- helpers ----------------------------------------------------------
-
-    @staticmethod
-    def _line_range(addr, length):
-        """Indices of every cacheline overlapping [addr, addr+length)."""
-        if length <= 0:
-            return range(0, 0)
-        first = addr // CACHELINE_SIZE
-        last = (addr + length - 1) // CACHELINE_SIZE
-        return range(first, last + 1)
-
     # -- store paths ------------------------------------------------------
 
     def write(self, addr, data):

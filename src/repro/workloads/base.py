@@ -2,24 +2,7 @@
 
 import random
 
-from repro.engine.context import ExecContext
-
-
-class FreeContext(ExecContext):
-    """A context whose time/resource charges are discarded.
-
-    Used to pre-allocate filesets before the measured run begins (the
-    paper, like filebench, pre-allocates 5 GB filesets and clears caches
-    before measuring).
-    """
-
-    free = True
-
-    def charge(self, ns, category=None):
-        return self.clock.now
-
-    def sync_to(self, target_ns, category=None):
-        return self.clock.now
+from repro.engine.context import FreeContext
 
 
 def prepare_context(env):
@@ -65,13 +48,6 @@ class Workload:
     def make_thread_body(self, vfs, thread_id):
         """Return ``body(ctx)``: a generator yielding once per operation."""
         raise NotImplementedError
-
-    # -- convenience for single-context (replay-style) execution ---------
-
-    def run_inline(self, vfs, ctx, thread_id=0):
-        """Drive one thread body to completion on ``ctx`` (no scheduler)."""
-        for _ in self.make_thread_body(vfs, thread_id)(ctx):
-            pass
 
 
 def zipf_index(rng, n, skew=1.1):

@@ -1,13 +1,12 @@
 """Unit tests for the LRW list."""
 
-from repro.core.lrw import LRWList, LRWNode
+from repro.core.lrw import LRWList
 
 
-class Item(LRWNode):
+class Item:
     __slots__ = ("tag",)
 
     def __init__(self, tag):
-        super().__init__()
         self.tag = tag
 
 

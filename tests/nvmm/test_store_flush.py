@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.engine.context import ExecContext
+from repro.engine.context import ExecContext, FreeContext
 from repro.engine.env import SimEnv
 from repro.engine.stats import CAT_OTHERS, CAT_WRITE_ACCESS
 from repro.faults.media import MediaFaultModel
 from repro.fs.errors import MediaError
-from repro.fs.pmfs.pmfs import _FreeContext
 from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
 from repro.nvmm.device import NVMMDevice
 
@@ -56,7 +55,7 @@ class Rig:
         self.env = SimEnv()
         self.config = NVMMConfig()
         self.dev = NVMMDevice(self.env, self.config, SIZE, domain=domain)
-        self.ctx = (_FreeContext(self.env) if free
+        self.ctx = (FreeContext(self.env, "free") if free
                     else ExecContext(self.env, "t", start_ns=1000))
         self.traced = traced and not free
         if self.traced:

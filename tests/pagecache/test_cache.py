@@ -1,6 +1,8 @@
 """Unit tests for the page cache and pdflush."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
@@ -86,6 +88,33 @@ def test_dirty_queries(rig):
     rig.cache.copy_in(rig.ctx, b, 0, b"y", now_ns=2)
     assert len(rig.cache.dirty_pages_of(1)) == 2
     assert rig.cache.dirty_count() == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["insert", "dirty", "drop"]),
+                          st.integers(0, 3), st.integers(0, 30)),
+                max_size=120))
+def test_page_index_matches_dict_model(ops):
+    """After insert/dirty/drop churn over several inodes (below capacity,
+    so nothing is evicted), ``pages_of`` and ``dirty_pages_of`` match a
+    dict model in block order."""
+    rig = Rig(capacity=256)
+    cache = rig.cache
+    model = {}  # (ino, file_block) -> Page
+    for op, ino, fb in ops:
+        page = model.get((ino, fb))
+        if op == "insert" and page is None:
+            model[(ino, fb)] = cache.insert(rig.ctx, ino, fb)
+        elif op == "dirty" and page is not None:
+            cache.copy_in(rig.ctx, page, 0, b"d", now_ns=0)
+        elif op == "drop" and page is not None:
+            cache.drop(model.pop((ino, fb)))
+    for ino in range(4):
+        expected = [model[key] for key in sorted(model) if key[0] == ino]
+        assert cache.pages_of(ino) == expected
+        assert cache.dirty_pages_of(ino) == [p for p in expected if p.dirty]
+    assert len(cache) == len(model)
+    assert cache.dirty_total == sum(p.dirty for p in model.values())
 
 
 def test_pdflush_flushes_aged_pages(rig):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bench.runner import run_workload
-from repro.workloads.base import FreeContext, Workload, payload, zipf_index
+from repro.engine.context import FreeContext
+from repro.workloads.base import Workload, payload, zipf_index
 from repro.workloads.filebench import Fileserver, Varmail, Webproxy, Webserver
 from repro.workloads.fio import FioWorkload
 
