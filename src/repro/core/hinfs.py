@@ -511,7 +511,7 @@ class HiNFS(PMFS):
         """
         ends = []
         failed = set()
-        injector = self.request_faults
+        faults = self.env.faults
         for block in blocks:
             if self.hconfig.enable_clfw:
                 mask = block.bitmap.dirty
@@ -523,10 +523,13 @@ class HiNFS(PMFS):
             attempt = 0
             while True:
                 try:
-                    if injector is not None:
-                        # Request-targeted fault injection: fail the persist
+                    if faults is not None and \
+                            faults.hit("writeback", block.last_req_id):
+                        # The ``writeback`` fault site: fail the persist
                         # of blocks last written by an armed request id.
-                        injector.check(block.last_req_id)
+                        raise MediaError(
+                            "injected writeback fault targeting request "
+                            "#%d" % block.last_req_id)
                     for start, nlines in iter_runs(mask):
                         data = self.buffer.read_from(
                             ctx, block, start * CACHELINE_SIZE,

@@ -28,6 +28,9 @@ class SimEnv:
         #: is enabled, else None -- the data path checks this once per
         #: request, so the default costs nothing.
         self.trace = None
+        #: Targeted fault injector (:class:`repro.faults.inject.
+        #: FaultInjector`) or None; every injection site checks it.
+        self.faults = None
 
     def next_req_id(self):
         """Allocate the next request id (unique within this run)."""

@@ -15,16 +15,17 @@ Cooperating pieces:
   the file, exactly once per file descriptor.
 - :mod:`repro.faults.crashpoints` -- a CrashMonkey-style crash-state
   explorer: it records every persist event and flush/fence boundary of an
-  operation sequence, reconstructs the NVMM image a power failure would
-  leave at each point (plus sampled uncontrolled-eviction subsets and
-  torn lines where only some 8-byte words of a dirty cacheline persist),
-  then replays recovery and checks file-system invariants.
-- :mod:`repro.faults.reqfault` -- request-targeted injection: fail the
-  writeback of blocks last written by a specific
-  :class:`repro.io.IORequest` id.
-- :mod:`repro.faults.ringfault` -- ring-targeted injection: fail the Nth
-  SQE a submission ring executes, or crash between the ops of a linked
-  chain.
+  operation sequence, replays them into the device's own crash model
+  (:class:`repro.mem.cpucache.CachedPersistentRegion`) to reconstruct
+  the NVMM image a power failure would leave at each point (plus sampled
+  uncontrolled-eviction subsets and torn lines where only some 8-byte
+  words of a dirty cacheline persist), then replays recovery and checks
+  file-system invariants.
+- :mod:`repro.faults.inject` -- one targeted :class:`FaultInjector`,
+  attached at ``env.faults``: fail the writeback of blocks last written
+  by a given :class:`repro.io.IORequest` id, the Nth SQE a submission
+  ring executes (or crash right after it, between the ops of a linked
+  chain), or a mapping's load/store/msync/log append.
 - :mod:`repro.faults.chaos` -- seeded chaos campaigns that combine all of
   the above against a live stack and prove recovery: scrub repairs or
   isolates every fault, the mount-health FSM returns to HEALTHY, and a
@@ -33,11 +34,11 @@ Cooperating pieces:
 
 from repro.faults.chaos import ChaosCampaign, run_all, run_campaign
 from repro.faults.errseq import ErrseqMap
+from repro.faults.inject import FaultInjector
 from repro.faults.media import MediaFaultModel
 from repro.faults.policy import RetryPolicy
-from repro.faults.reqfault import RequestFaultInjector
-from repro.faults.ringfault import RingCrash, RingFaultInjector
+from repro.io.ring import RingCrash
 
-__all__ = ["ChaosCampaign", "ErrseqMap", "MediaFaultModel",
-           "RequestFaultInjector", "RetryPolicy", "RingCrash",
-           "RingFaultInjector", "run_all", "run_campaign"]
+__all__ = ["ChaosCampaign", "ErrseqMap", "FaultInjector",
+           "MediaFaultModel", "RetryPolicy", "RingCrash", "run_all",
+           "run_campaign"]

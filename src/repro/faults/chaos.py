@@ -30,13 +30,14 @@ import random
 from repro.engine.background import BackgroundRegistry
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
+from repro.faults.inject import FaultInjector
 from repro.faults.media import MediaFaultModel
 from repro.faults.policy import RetryPolicy
-from repro.faults.ringfault import RingFaultInjector
 from repro.fs import flags as f
 from repro.fs.errors import FSError, MediaError, ReadOnly
 from repro.fs.health import HEALTHY
 from repro.fs.vfs import VFS
+from repro.mem.cpucache import WORDS_PER_LINE
 from repro.mem.region import CACHELINE_SIZE
 from repro.nvmm.config import BLOCK_SIZE, NVMMConfig
 
@@ -50,8 +51,6 @@ CHAOS_STACKS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd")
 TORN_CRASH_STACKS = ("hinfs", "pmfs")
 
 LINES_PER_BLOCK = BLOCK_SIZE // CACHELINE_SIZE
-WORD_SIZE = 8
-WORDS_PER_LINE = CACHELINE_SIZE // WORD_SIZE
 
 
 class ChaosCampaign:
@@ -233,11 +232,10 @@ class ChaosCampaign:
                 base_backoff_ns=self.config.media_retry_backoff_ns,
                 multiplier=2.0, jitter_frac=0.0, breaker_threshold=32,
             )
-        if ring.faults is None:
-            ring.faults = RingFaultInjector(max_hits=0)
+        if self.env.faults is None:
+            self.env.faults = FaultInjector()
         seq = ring._seq + self._rng.randrange(1, self.writes_per_round)
-        ring.faults.arm_fail(seq)
-        ring.faults.max_hits += 1
+        self.env.faults.arm("ring_op", seq)
         self.ring_fault_seqs.append(seq)
 
     # -- oracle -----------------------------------------------------------
@@ -371,29 +369,23 @@ class ChaosCampaign:
         torn = None
         if dirty:
             line = dirty[self._rng.randrange(len(dirty))]
-            new = mem.dirty_lines_snapshot()[line]
-            old = mem.persistent_snapshot()[
-                line * CACHELINE_SIZE:(line + 1) * CACHELINE_SIZE]
             # A proper nonempty word subset: genuinely torn, not a plain
             # lost-or-persisted line.
             count = self._rng.randint(1, WORDS_PER_LINE - 1)
             words = self._rng.sample(range(WORDS_PER_LINE), count)
-            image = bytearray(old)
-            for w in words:
-                image[w * WORD_SIZE:(w + 1) * WORD_SIZE] = \
-                    new[w * WORD_SIZE:(w + 1) * WORD_SIZE]
             evictable = [ln for ln in dirty if ln != line]
             nevict = self._rng.randint(0, len(evictable)) \
                 if evictable else 0
             evicted = sorted(self._rng.sample(evictable, nevict))
-            device.crash(evicted)
-            mem.write_nocache(line * CACHELINE_SIZE, bytes(image))
+            mem.crash(evicted, torn={line: sum(1 << w for w in words)})
             torn = {"line": line, "words": sorted(words),
                     "evicted": evicted}
         else:
             device.crash(())
         # Remount: fresh background timelines, journal recovery runs.
+        # The pre-crash ring and its unconsumed fault arms go with it.
         self.env.background = BackgroundRegistry()
+        self.env.faults = None
         fs_cls = type(self.fs)
         self.fs = fs_cls.mount(self.env, device, self.config)
         self.model = self.fs.device.fault_model

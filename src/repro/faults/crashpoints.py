@@ -7,12 +7,13 @@ that actually reached the persistence domain (``clflush`` / non-temporal
 store), and every flush/fence ordering boundary -- via the observer hook
 on :class:`repro.mem.cpucache.CachedPersistentRegion`.
 
-From the tape it reconstructs the NVMM image a power failure would leave
-behind at **every** event prefix (which covers every clflush/mfence
-boundary), plus, per operation, a seeded sample of *uncontrolled
-eviction* states: the same prefix image with a random subset of the
-then-dirty CPU-cache lines written back, modelling lines the cache
-evicted on its own before the crash.
+Replaying the tape into a fresh ``CachedPersistentRegion`` -- the crash
+model the device itself runs -- reconstructs the NVMM image a power
+failure would leave behind at **every** event prefix (which covers every
+clflush/mfence boundary), plus, per operation, a seeded sample of
+*uncontrolled eviction* states: the same prefix image with a random
+subset of the then-dirty CPU-cache lines written back, modelling lines
+the cache evicted on its own before the crash.
 
 Each reconstructed state is mounted on a fresh device and the recovered
 file system is checked against invariants derived from the operations
@@ -42,20 +43,18 @@ from repro.fs import flags as f
 from repro.fs.errors import FSError
 from repro.fs.pmfs.pmfs import PMFS
 from repro.fs.vfs import VFS
-from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
+from repro.mem.cpucache import (
+    WORDS_PER_LINE,
+    CachedPersistentRegion,
+    persist_words,
+    words_spanned,
+)
+from repro.nvmm.config import NVMMConfig
 from repro.nvmm.device import NVMMDevice
 from repro.workloads.base import payload
 
 EV_STORE = "store"      # volatile store into the CPU cache
 EV_PERSIST = "persist"  # bytes reached the persistence domain
-
-#: The architectural store-atomicity unit: an aligned 8-byte word always
-#: persists or vanishes as a unit (the guarantee PMFS's in-place commit
-#: relies on), but nothing larger does -- a crash mid-flush may leave any
-#: word subset of a cacheline behind.  The torn-write model samples
-#: exactly those states.
-WORD_SIZE = 8
-WORDS_PER_LINE = CACHELINE_SIZE // WORD_SIZE
 
 
 class TapeRecorder:
@@ -85,107 +84,28 @@ class TapeRecorder:
             self.boundaries.append(len(self.events))
 
 
-class ShadowImage:
-    """Replays a tape, mirroring the cache model's crash semantics.
+def replay_region(baseline):
+    """A :class:`CachedPersistentRegion` holding ``baseline`` durably:
+    the start of a tape replay."""
+    region = CachedPersistentRegion(len(baseline))
+    region.load_snapshot(baseline)
+    return region
 
-    Maintains the persistent image and the set of dirty (volatile)
-    cachelines as they were at each point of the recorded run, so any
-    prefix yields (a) the post-crash image and (b) the eviction
-    candidates -- whole dirty lines that may additionally persist.
-    """
 
-    def __init__(self, baseline):
-        self.image = bytearray(baseline)
-        self.dirty = {}  # line index -> bytearray(CACHELINE_SIZE)
+def replay(region, event):
+    """Apply one tape event to ``region`` with the production crash
+    model: a store stays volatile, a persist becomes durable."""
+    kind, addr, data = event
+    if kind == EV_STORE:
+        region.write(addr, data)
+    else:
+        region.write_nocache(addr, data)
 
-    def _line_buf(self, line):
-        buf = self.dirty.get(line)
-        if buf is None:
-            base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, len(self.image))
-            buf = bytearray(self.image[base:end])
-            buf.extend(b"\0" * (CACHELINE_SIZE - len(buf)))
-            self.dirty[line] = buf
-        return buf
 
-    def apply(self, event):
-        kind, addr, data = event
-        first = addr // CACHELINE_SIZE
-        last = (addr + len(data) - 1) // CACHELINE_SIZE if data else first
-        if kind == EV_STORE:
-            pos = addr
-            view = memoryview(data)
-            while view:
-                line = pos // CACHELINE_SIZE
-                off = pos % CACHELINE_SIZE
-                take = min(CACHELINE_SIZE - off, len(view))
-                self._line_buf(line)[off:off + take] = view[:take]
-                pos += take
-                view = view[take:]
-        else:
-            for line in range(first, last + 1):
-                self.dirty.pop(line, None)
-            self.image[addr:addr + len(data)] = data
-
-    def crash_image(self, evict_lines=(), torn=None):
-        """Post-power-failure image; ``evict_lines`` persisted first.
-
-        ``torn`` maps a dirty line index to an 8-word bitmask: only the
-        selected aligned 8-byte words of that line reach persistence --
-        the sub-cacheline crash state a power failure mid-writeback
-        leaves behind.  Each word persists atomically; the rest of the
-        line keeps its old persistent bytes.
-        """
-        image = bytes(self.image)
-        if not evict_lines and not torn:
-            return image
-        image = bytearray(image)
-        for line in evict_lines:
-            buf = self.dirty[line]
-            base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, len(image))
-            image[base:end] = buf[: end - base]
-        if torn:
-            for line in sorted(torn):
-                buf = self.dirty[line]
-                mask = torn[line]
-                base = line * CACHELINE_SIZE
-                for word in range(WORDS_PER_LINE):
-                    if not mask >> word & 1:
-                        continue
-                    lo = base + word * WORD_SIZE
-                    hi = min(lo + WORD_SIZE, len(image))
-                    if lo < hi:
-                        image[lo:hi] = buf[word * WORD_SIZE:
-                                           word * WORD_SIZE + (hi - lo)]
-        return bytes(image)
-
-    def torn_persist_image(self, event, word_mask, evict_lines=()):
-        """The crash state of ``event`` (the *next* EV_PERSIST on the
-        tape) tearing mid-flight: only the aligned 8-byte words selected
-        by ``word_mask`` (bit ``i`` = i-th word overlapping the event's
-        range) become durable on top of this prefix's crash image."""
-        kind, addr, data = event
-        if kind != EV_PERSIST:
-            raise ValueError("only persist events can tear")
-        image = bytearray(self.crash_image(evict_lines))
-        first_word = addr // WORD_SIZE
-        last_word = (addr + len(data) - 1) // WORD_SIZE
-        for i, word in enumerate(range(first_word, last_word + 1)):
-            if not word_mask >> i & 1:
-                continue
-            lo = max(addr, word * WORD_SIZE)
-            hi = min(addr + len(data), (word + 1) * WORD_SIZE)
-            image[lo:hi] = data[lo - addr:hi - addr]
-        return bytes(image)
-
-    @staticmethod
-    def persist_word_count(event):
-        """Aligned 8-byte words a persist event touches (tear candidates)."""
-        kind, addr, data = event
-        if kind != EV_PERSIST or not data:
-            return 0
-        return (addr + len(data) - 1) // WORD_SIZE - addr // WORD_SIZE + 1
+def persist_word_count(event):
+    """Aligned 8-byte words a persist event touches (tear candidates)."""
+    kind, addr, data = event
+    return words_spanned(addr, len(data)) if kind == EV_PERSIST else 0
 
 
 class Expectations:
@@ -261,7 +181,7 @@ class ExplorationReport:
         self.eviction_draws = {}  # op index -> sampled eviction subsets
         self.torn_draws = {}      # op index -> sampled torn-write states
         #: op index -> (first_req_id, last_req_id) allocated while that
-        #: op ran, so a crash point (or a RequestFaultInjector arm) can
+        #: op ran, so a crash point (or a ``writeback`` fault arm) can
         #: be mapped back to the specific in-flight request.
         self.op_request_ids = {}
         self.failures = []
@@ -594,15 +514,15 @@ class CrashPointExplorer:
             op_windows.append((op_index, pos, end))
 
         seen = {}
-        shadow = ShadowImage(baseline)
+        region = replay_region(baseline)
         # Prefix 0 (crash before anything ran) through every event.
-        self._check_dedup(report, seen, shadow, 0, expect_at, ())
+        self._check_dedup(report, seen, region, 0, expect_at, ())
         for k, event in enumerate(tape.events):
-            shadow.apply(event)
-            self._check_dedup(report, seen, shadow, k + 1, expect_at, ())
+            replay(region, event)
+            self._check_dedup(report, seen, region, k + 1, expect_at, ())
 
-        # Sampled uncontrolled-eviction subsets, per op: rebuild the
-        # shadow incrementally along the tape and, at randomly chosen
+        # Sampled uncontrolled-eviction subsets, per op: replay the tape
+        # again along the tape and, at randomly chosen
         # points inside each op's window, persist a random subset of the
         # dirty lines on top of the prefix image.
         draw_points = {}  # event index -> list of draw ids
@@ -613,15 +533,15 @@ class CrashPointExplorer:
             for _ in range(self.eviction_samples_per_op):
                 k = self._rng.randint(start, end)
                 draw_points.setdefault(k, []).append(op_index)
-        shadow = ShadowImage(baseline)
+        region = replay_region(baseline)
         for op_index in draw_points.get(0, ()):
             report.eviction_draws[op_index] += 1
-            self._check_eviction_draw(report, seen, shadow, 0, expect_at)
+            self._check_eviction_draw(report, seen, region, 0, expect_at)
         for k, event in enumerate(tape.events):
-            shadow.apply(event)
+            replay(region, event)
             for op_index in draw_points.get(k + 1, ()):
                 report.eviction_draws[op_index] += 1
-                self._check_eviction_draw(report, seen, shadow, k + 1,
+                self._check_eviction_draw(report, seen, region, k + 1,
                                           expect_at)
 
         # Sub-cacheline (torn-write) states, per op: at seeded points
@@ -638,14 +558,14 @@ class CrashPointExplorer:
             for _ in range(self.torn_samples_per_op):
                 k = self._rng.randint(start, max(start, end - 1))
                 torn_points.setdefault(k, []).append(op_index)
-        shadow = ShadowImage(baseline)
+        region = replay_region(baseline)
         for k in range(len(tape.events) + 1):
             for op_index in torn_points.get(k, ()):
                 report.torn_draws[op_index] += 1
-                self._check_torn_draw(report, seen, shadow, tape, k,
+                self._check_torn_draw(report, seen, region, tape, k,
                                       expect_at)
             if k < len(tape.events):
-                shadow.apply(tape.events[k])
+                replay(region, tape.events[k])
         return report
 
     def _word_mask(self, nwords):
@@ -657,34 +577,38 @@ class CrashPointExplorer:
             mask |= 1 << word
         return mask
 
-    def _check_torn_draw(self, report, seen, shadow, tape, k, expect_at):
+    def _check_torn_draw(self, report, seen, region, tape, k, expect_at):
         event = tape.events[k] if k < len(tape.events) else None
         if event is not None:
-            nwords = ShadowImage.persist_word_count(event)
+            nwords = persist_word_count(event)
             if nwords >= 2:
+                # The next persist tears mid-flight: only the masked
+                # words of its range land on this prefix's crash image.
                 mask = self._word_mask(nwords)
-                image = shadow.torn_persist_image(event, mask)
-                self._check_image(report, seen, image, k, expect_at, (),
-                                  torn=("persist", mask))
-        dirty = sorted(shadow.dirty)
+                image = bytearray(region.crash_image())
+                _kind, addr, data = event
+                persist_words(image, addr, data, mask)
+                self._check_image(report, seen, bytes(image), k, expect_at,
+                                  (), torn=("persist", mask))
+        dirty = region.dirty_line_indices()
         if dirty:
             line = self._rng.choice(dirty)
             mask = self._word_mask(WORDS_PER_LINE)
-            image = shadow.crash_image(torn={line: mask})
+            image = region.crash_image(torn={line: mask})
             self._check_image(report, seen, image, k, expect_at, (),
                               torn=("line", line, mask))
 
-    def _check_eviction_draw(self, report, seen, shadow, k, expect_at):
-        dirty = sorted(shadow.dirty)
+    def _check_eviction_draw(self, report, seen, region, k, expect_at):
+        dirty = region.dirty_line_indices()
         if dirty:
             nlines = self._rng.randint(1, len(dirty))
             evicted = tuple(sorted(self._rng.sample(dirty, nlines)))
         else:
             evicted = ()
-        self._check_dedup(report, seen, shadow, k, expect_at, evicted)
+        self._check_dedup(report, seen, region, k, expect_at, evicted)
 
-    def _check_dedup(self, report, seen, shadow, k, expect_at, evicted):
-        self._check_image(report, seen, shadow.crash_image(evicted), k,
+    def _check_dedup(self, report, seen, region, k, expect_at, evicted):
+        self._check_image(report, seen, region.crash_image(evicted), k,
                           expect_at, evicted)
 
     def _check_image(self, report, seen, image, k, expect_at, evicted,

@@ -54,9 +54,6 @@ class PMFS(FileSystem):
         # one MmioMapping (MAP_ATOMIC) that intercepts syscall I/O.
         self._regions = {}
         self._atomic_mappings = {}
-        #: Mapping-targeted fault injector
-        #: (:class:`repro.faults.mmiofault.MmioFaultInjector`) or None.
-        self.mmio_faults = None
         if not _skip_format:
             self._mkfs()
 

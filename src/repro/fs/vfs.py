@@ -618,6 +618,8 @@ class VFS:
         self._submit_sync(ctx, uring.prep_fsync(fd, datasync=True))
 
     def truncate(self, ctx, path, new_size):
+        if new_size < 0:
+            raise InvalidArgument("truncate to negative size %d" % new_size)
         with ctx.syscall("truncate"):
             self._syscall_entry(ctx)
             self._check_writable("truncate of %r" % path)

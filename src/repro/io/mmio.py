@@ -460,10 +460,12 @@ class MmioMapping(MappedRegion):
 
     # -- internals --------------------------------------------------------
 
-    def _faults(self, ctx, op):
-        injector = getattr(self.fs, "mmio_faults", None)
-        if injector is not None:
-            injector.check(op, self.ino)
+    def _faults(self, op):
+        """The ``mmio_<op>`` fault sites of ``env.faults``, keyed by inode."""
+        faults = self.fs.env.faults
+        if faults is not None and faults.hit("mmio_" + op, self.ino):
+            raise MediaError("injected mmio fault at %s (ino %s)"
+                             % (op, self.ino))
 
     def _resolve_policy(self):
         if self.policy == "undo":
@@ -478,7 +480,7 @@ class MmioMapping(MappedRegion):
 
     def _load_locked(self, ctx, offset, length):
         self._require_open()
-        self._faults(ctx, "load")
+        self._faults("load")
         self._epoch_loads += 1
         self.fs.env.stats.bump("mmio_loads")
         data = super().read(ctx, offset, length)
@@ -495,7 +497,7 @@ class MmioMapping(MappedRegion):
 
     def _store_locked(self, ctx, offset, data):
         self._require_open()
-        self._faults(ctx, "store")
+        self._faults("store")
         if not data:
             return
         if self._epoch_policy is None:
@@ -539,7 +541,7 @@ class MmioMapping(MappedRegion):
             self._overlay.append((file_offset, chunk))
 
     def _append(self, ctx, kind, epoch, file_offset, payload):
-        self._faults(ctx, "append")
+        self._faults("append")
         try:
             self.log.append(ctx, kind, epoch, file_offset, payload)
         except LogFull:
@@ -550,7 +552,7 @@ class MmioMapping(MappedRegion):
 
     def _msync_locked(self, ctx):
         self._require_open()
-        self._faults(ctx, "msync")
+        self._faults("msync")
         if self.log.tail_empty and not self._dirty_ranges \
                 and not self._overlay:
             self.fs.device.fence(ctx)

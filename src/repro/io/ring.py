@@ -163,6 +163,18 @@ class _Pending:
         self.completion = completion
 
 
+class RingCrash(Exception):
+    """Power failure injected right after an SQE executed (the
+    ``ring_crash`` fault site); the test harness catches it and
+    snapshots/remounts, like the crash-point explorer's cut."""
+
+    def __init__(self, seq, sqe):
+        super().__init__("injected crash after ring op #%d (%s)"
+                         % (seq, sqe.syscall))
+        self.seq = seq
+        self.sqe = sqe
+
+
 class _LinkCancelled(FSError):
     """ECANCELED: a preceding linked operation failed."""
 
@@ -184,8 +196,6 @@ class IORing:
         self._seq = 0
         #: True once the current batch has paid the T_syscall entry.
         self._entry_done = False
-        #: Optional :class:`repro.faults.ringfault.RingFaultInjector`.
-        self.faults = None
         #: Optional :class:`repro.faults.policy.RetryPolicy`: EIO from an
         #: SQE's handler is retried by resubmitting the SQE with charged
         #: backoff before the CQE carries ``-EIO``.  None (the default)
@@ -241,6 +251,7 @@ class IORing:
 
     def _execute(self, ctx, sqes, sp):
         batch_start = ctx.now
+        faults = self.env.faults
         cancelling = False
         linked_prev = False
         for sqe in sqes:
@@ -282,27 +293,27 @@ class IORing:
             else:
                 res, value = result
                 self._push(CQE(sqe.user_data, res, value, None, seq, ctx.now))
-            if self.faults is not None:
-                self.faults.after_op(ctx, seq, sqe)
+            if faults is not None and faults.hit("ring_crash", seq):
+                raise RingCrash(seq, sqe)
             linked_prev = bool(sqe.flags & IOSQE_IO_LINK)
 
     def _dispatch(self, ctx, seq, sqe, handler):
         """Run one SQE's handler, resubmitting on EIO under the ring's
         retry policy.  Safe to re-run: a failed handler never advances
         the descriptor's position, so the resubmission repeats the same
-        operation.  Injected ring faults (:attr:`faults`) fire inside the
-        retry loop, so an armed fault with ``max_hits`` set models a
-        transient EIO the resubmission recovers from."""
+        operation.  The ``ring_op`` fault site (``env.faults``) fires
+        inside the retry loop, so an arm with a finite ``hits`` budget
+        models a transient EIO the resubmission recovers from."""
         policy = self.retry_policy
         if policy is None:
-            if self.faults is not None:
-                self.faults.before_op(ctx, seq, sqe)
+            if self.env.faults is not None:
+                self._inject(seq, sqe)
             return handler(ctx, sqe, self)
         attempt = 0
         while True:
             try:
-                if self.faults is not None:
-                    self.faults.before_op(ctx, seq, sqe)
+                if self.env.faults is not None:
+                    self._inject(seq, sqe)
                 result = handler(ctx, sqe, self)
             except MediaError:
                 attempt += 1
@@ -317,6 +328,13 @@ class IORing:
                     policy.record_success()
                     self.env.stats.bump("ring_sqe_retry_successes")
                 return result
+
+    def _inject(self, seq, sqe):
+        """The ``ring_op`` fault site: fail this execution of SQE ``seq``."""
+        if self.env.faults.hit("ring_op", seq):
+            self.env.stats.bump("ring_fault_injections")
+            raise MediaError("injected fault on ring op #%d (%s)"
+                             % (seq, sqe.syscall))
 
     def _complete(self, sqe, seq, error, at_ns):
         res = -int(getattr(error, "errno", _errno.EIO) or _errno.EIO)

@@ -25,6 +25,37 @@ from repro.mem.region import CACHELINE_SIZE, MemoryRegion
 #: Flag-run template for marking many lines dirty in one slice assign.
 _ONES = b"\x01" * 4096
 
+#: The architectural store-atomicity unit: an aligned 8-byte word always
+#: persists or vanishes as a unit (the guarantee PMFS's in-place commit
+#: relies on), but nothing larger does -- a crash mid-flush may leave any
+#: word subset of a cacheline behind.
+WORD_SIZE = 8
+WORDS_PER_LINE = CACHELINE_SIZE // WORD_SIZE
+
+
+def words_spanned(addr, length):
+    """Aligned 8-byte words that ``[addr, addr+length)`` overlaps."""
+    if length <= 0:
+        return 0
+    return (addr + length - 1) // WORD_SIZE - addr // WORD_SIZE + 1
+
+
+def persist_words(image, addr, data, word_mask):
+    """The torn-write rule: persist ``data`` (stored at ``addr``) into
+    ``image`` one aligned 8-byte word at a time.
+
+    Bit ``i`` of ``word_mask`` selects the ``i``-th word the store
+    overlaps; a selected word lands whole, an unselected one keeps the
+    old bytes of ``image`` entirely.
+    """
+    first = addr // WORD_SIZE
+    end = addr + len(data)
+    for i in range(words_spanned(addr, len(data))):
+        if word_mask >> i & 1:
+            lo = max(addr, (first + i) * WORD_SIZE)
+            hi = min(end, (first + i + 1) * WORD_SIZE)
+            image[lo:hi] = data[lo - addr:hi - addr]
+
 
 class CachedPersistentRegion:
     """Persistent bytes fronted by a volatile write-back line cache.
@@ -115,14 +146,18 @@ class CachedPersistentRegion:
         ``[addr, addr+len(data))``: the store lands in the current slab,
         every line it touches becomes durable, and none stays dirty.
         Returns the number of lines flushed (every touched line, since
-        the store dirtied them all).  Observer-free regions only -- an
-        observer needs the separate store/persist/boundary events, so
-        callers with one attached use the two reference methods.
+        the store dirtied them all).  An observer receives the same
+        events as from that pair: the store, one persist per touched
+        line, then the flush boundary (only the boundary for an empty
+        store).
         """
         length = len(data)
         if addr < 0 or addr + length > self.size:
             raise IndexError("store outside region")
+        observer = self.observer
         if length == 0:
+            if observer is not None:
+                observer.on_flush_boundary(self)
             return 0
         # Bounds are checked above, so both slabs are addressed directly
         # (one slice assign each, no per-call view objects).
@@ -140,6 +175,12 @@ class CachedPersistentRegion:
         base = first * CACHELINE_SIZE
         end = min(base + nlines * CACHELINE_SIZE, self.size)
         self._persistent._data[base:end] = current._mv[base:end]
+        if observer is not None:
+            observer.on_cached_write(addr, bytes(data))
+            for lo in range(base, end, CACHELINE_SIZE):
+                observer.on_persist(
+                    lo, current.read(lo, min(CACHELINE_SIZE, end - lo)))
+            observer.on_flush_boundary(self)
         return nlines
 
     # -- flush / ordering ---------------------------------------------------
@@ -213,49 +254,51 @@ class CachedPersistentRegion:
             line = find(1, line + 1)
         return out
 
-    def dirty_lines_snapshot(self):
-        """Copy of the volatile lines: ``{line_index: line_bytes}``.
+    def _check_dirty(self, lines, what):
+        """Raise :class:`ValueError` unless every index names a dirty line:
+        a crash-state enumeration must never silently test the wrong
+        state."""
+        for line in lines:
+            if not 0 <= line < self.num_lines:
+                raise ValueError(
+                    "%s index %r outside region of %d lines"
+                    % (what, line, self.num_lines)
+                )
+            if not self._flags[line]:
+                raise ValueError(
+                    "%s index %r is not dirty; a clean line cannot "
+                    "be written back at crash time" % (what, line)
+                )
 
-        Line buffers are always ``CACHELINE_SIZE`` long; a tail line on an
-        unaligned region is zero-padded, mirroring the hardware's
-        full-line granularity.
-        """
-        out = {}
-        size = self.size
-        for line in self.dirty_line_indices():
+    def _tear(self, image, torn):
+        """Apply ``torn`` (``{dirty line: word mask}``) to ``image``: only
+        the selected 8-byte words of each line's newest bytes land."""
+        for line in sorted(torn):
             base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, size)
-            buf = self._current.read(base, end - base)
-            if len(buf) < CACHELINE_SIZE:
-                buf += b"\0" * (CACHELINE_SIZE - len(buf))
-            out[line] = buf
-        return out
+            end = min(base + CACHELINE_SIZE, self.size)
+            persist_words(image, base, self._current.view(base, end - base),
+                          torn[line])
 
-    def crash(self, evict_lines=()):
+    def crash(self, evict_lines=(), torn=None):
         """Power failure: lose volatile lines, except ``evict_lines``.
 
         ``evict_lines`` models lines the cache happened to write back on
         its own before the crash; they persist, everything else volatile
-        is lost.  Whole lines persist or vanish atomically.
+        is lost.  Whole lines persist or vanish atomically -- except the
+        lines ``torn`` maps to an 8-word bitmask: of those, only the
+        selected aligned 8-byte words persist (a power cut mid-writeback).
 
-        Every index in ``evict_lines`` must name a currently-dirty line;
-        a clean or out-of-range index raises :class:`ValueError` so a
-        crash-state enumeration can never silently test the wrong state.
+        Every index in ``evict_lines`` and ``torn`` must name a
+        currently-dirty line; a clean or out-of-range index raises
+        :class:`ValueError`.
         """
         evict_lines = list(evict_lines)
-        for line in evict_lines:
-            if not 0 <= line < self.num_lines:
-                raise ValueError(
-                    "evict_lines index %r outside region of %d lines"
-                    % (line, self.num_lines)
-                )
-            if not self._flags[line]:
-                raise ValueError(
-                    "evict_lines index %r is not dirty; a clean line cannot "
-                    "be written back at crash time" % (line,)
-                )
+        self._check_dirty(evict_lines, "evict_lines")
+        self._check_dirty(torn or (), "torn")
         for line in evict_lines:
             self._flush_line(line)
+        if torn:
+            self._tear(self._persistent._data, torn)
         # Roll the current slab back to the durable image for every line
         # still volatile, then clear the bitmap.
         size = self.size
@@ -269,6 +312,23 @@ class CachedPersistentRegion:
         if self._dirty_count:
             self._flags[:] = bytes(len(self._flags))
             self._dirty_count = 0
+
+    def crash_image(self, evict_lines=(), torn=None):
+        """The image :meth:`crash` with the same arguments would leave
+        durable, as ``bytes``; the region itself is left untouched."""
+        self._check_dirty(evict_lines, "evict_lines")
+        self._check_dirty(torn or (), "torn")
+        if not evict_lines and not torn:
+            return self._persistent.snapshot()
+        image = bytearray(self._persistent._data)
+        current = self._current._mv
+        for line in evict_lines:
+            base = line * CACHELINE_SIZE
+            end = min(base + CACHELINE_SIZE, self.size)
+            image[base:end] = current[base:end]
+        if torn:
+            self._tear(image, torn)
+        return bytes(image)
 
     def persistent_snapshot(self):
         """Contents as they would be read after an immediate crash."""

@@ -278,29 +278,30 @@ class NVMMDevice:
         Exactly :meth:`write_cached` then :meth:`clflush` over
         ``[addr, addr+len(data))`` (then :meth:`fence` when ``fence``):
         the same charges and categories, the same writer-slot grant for
-        the touched lines, the same ``bytes_written_nvmm`` and the same
-        ``nvmm`` trace phase -- in one data-plane pass and one
-        ``reserve`` instead of the per-line flush chain.  This is the
-        journal's primitive: every undo entry, in-place metadata update
-        and header write is one such store.
-
-        With a fault model or a persistence observer attached the three
-        reference methods run instead, so media-error retries and the
-        crash explorers' store/persist/boundary/fence event sequence
-        stay exactly as before.
+        the touched lines, the same ``bytes_written_nvmm``, the same
+        ``nvmm`` trace phase and the same persistence-observer events --
+        in one data-plane pass and one ``reserve`` instead of the
+        per-line flush chain.  This is the journal's primitive: every
+        undo entry, in-place metadata update and header write is one
+        such store.  A fault model probes the persist before the data
+        plane changes; when it raises :class:`MediaError` the store
+        stays dirty in the cache, as the reference chain leaves it.
         """
         mem = self.mem
-        if self.fault_model is not None or mem.observer is not None:
-            self.write_cached(ctx, addr, data, category)
-            self.clflush(ctx, addr, len(data), category)
-            if fence:
-                self.fence(ctx)
-            return
-        nlines = mem.write_flush(addr, data)
         config = self.config
-        ctx.charge(config.dram_store_cost_ns(len(data)), category)
+        length = len(data)
+        if addr < 0 or addr + length > mem.size:
+            raise IndexError("store outside region")
+        ctx.charge(config.dram_store_cost_ns(length), category)
         span = ctx.trace_span
         start = ctx.now if span is not None else 0
+        if self.fault_model is not None:
+            try:
+                self._guard_persist(ctx, addr, length)
+            except MediaError:
+                mem.write(addr, data)
+                raise
+        nlines = mem.write_flush(addr, data)
         if not ctx.free:
             if nlines:
                 grant = self.write_slots.reserve(
@@ -312,6 +313,7 @@ class NVMMDevice:
             span.add_phase(LAYER_NVMM, start, ctx.now)
         if fence:
             ctx.charge(config.fence_ns, CAT_OTHERS)
+            mem.fence()
 
     # -- crash ------------------------------------------------------------
 

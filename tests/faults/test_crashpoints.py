@@ -7,9 +7,12 @@ from repro.faults.crashpoints import (
     EV_PERSIST,
     EV_STORE,
     CrashPointExplorer,
-    ShadowImage,
     TapeRecorder,
+    persist_word_count,
+    replay,
+    replay_region,
 )
+from repro.mem.cpucache import persist_words
 from repro.nvmm.config import CACHELINE_SIZE
 
 SHORT_OPS = (
@@ -20,30 +23,32 @@ SHORT_OPS = (
 )
 
 
-class TestShadowImage:
+class TestTapeReplay:
+    """The explorer replays its tape into the device's own crash model."""
+
     def test_store_is_volatile_until_persist(self):
-        shadow = ShadowImage(b"\0" * (4 * CACHELINE_SIZE))
-        shadow.apply((EV_STORE, 10, b"xyz"))
-        assert shadow.crash_image()[10:13] == b"\0\0\0"
-        assert 0 in shadow.dirty
-        shadow.apply((EV_PERSIST, 10, b"xyz"))
-        assert shadow.crash_image()[10:13] == b"xyz"
-        assert not shadow.dirty
+        region = replay_region(b"\0" * (4 * CACHELINE_SIZE))
+        replay(region, (EV_STORE, 10, b"xyz"))
+        assert region.crash_image()[10:13] == b"\0\0\0"
+        assert region.dirty_line_indices() == [0]
+        replay(region, (EV_PERSIST, 10, b"xyz"))
+        assert region.crash_image()[10:13] == b"xyz"
+        assert not region.dirty_line_indices()
 
     def test_eviction_overlays_dirty_line(self):
-        shadow = ShadowImage(b"\0" * (4 * CACHELINE_SIZE))
-        shadow.apply((EV_STORE, CACHELINE_SIZE, b"q" * 8))
-        image = shadow.crash_image(evict_lines=(1,))
+        region = replay_region(b"\0" * (4 * CACHELINE_SIZE))
+        replay(region, (EV_STORE, CACHELINE_SIZE, b"q" * 8))
+        image = region.crash_image(evict_lines=(1,))
         assert image[CACHELINE_SIZE:CACHELINE_SIZE + 8] == b"q" * 8
         # The un-evicted view is unchanged.
-        assert shadow.crash_image()[CACHELINE_SIZE] == 0
+        assert region.crash_image()[CACHELINE_SIZE] == 0
 
     def test_store_spanning_lines(self):
-        shadow = ShadowImage(b"\0" * (4 * CACHELINE_SIZE))
+        region = replay_region(b"\0" * (4 * CACHELINE_SIZE))
         data = bytes(range(100))
-        shadow.apply((EV_STORE, CACHELINE_SIZE - 20, data))
-        assert sorted(shadow.dirty) == [0, 1, 2]
-        image = shadow.crash_image(evict_lines=(0, 1, 2))
+        replay(region, (EV_STORE, CACHELINE_SIZE - 20, data))
+        assert region.dirty_line_indices() == [0, 1, 2]
+        image = region.crash_image(evict_lines=(0, 1, 2))
         assert image[CACHELINE_SIZE - 20:CACHELINE_SIZE + 80] == data
 
 
@@ -99,38 +104,36 @@ class TestTornWrites:
     """Sub-cacheline (8-byte word) crash states."""
 
     def test_crash_image_applies_word_mask_to_dirty_line(self):
-        shadow = ShadowImage(b"\0" * (2 * CACHELINE_SIZE))
-        shadow.apply((EV_STORE, 0, b"\xff" * CACHELINE_SIZE))
-        image = shadow.crash_image(torn={0: 0b101})  # words 0 and 2
+        region = replay_region(b"\0" * (2 * CACHELINE_SIZE))
+        replay(region, (EV_STORE, 0, b"\xff" * CACHELINE_SIZE))
+        image = region.crash_image(torn={0: 0b101})  # words 0 and 2
         assert image[0:8] == b"\xff" * 8
         assert image[8:16] == b"\0" * 8
         assert image[16:24] == b"\xff" * 8
         assert image[24:CACHELINE_SIZE] == b"\0" * 40
         # The untorn view is untouched: stores stay volatile.
-        assert shadow.crash_image()[0] == 0
+        assert region.crash_image()[0] == 0
+        assert region.dirty_line_indices() == [0]
 
     def test_torn_persist_image_tears_the_next_flush(self):
-        from repro.faults.crashpoints import EV_PERSIST
-
-        shadow = ShadowImage(b"\0" * (2 * CACHELINE_SIZE))
-        event = (EV_PERSIST, 4, b"\xaa" * 20)  # words 0..2 of the line
+        region = replay_region(b"\0" * (2 * CACHELINE_SIZE))
+        _kind, addr, data = (EV_PERSIST, 4, b"\xaa" * 20)  # words 0..2
         # Bit i selects the i-th word *overlapping the event*; unchosen
         # words keep their old persistent bytes entirely.
-        image = shadow.torn_persist_image(event, 0b110)
+        image = bytearray(region.crash_image())
+        persist_words(image, addr, data, 0b110)
         assert image[0:8] == b"\0" * 8  # word 0 not chosen
         assert image[8:16] == b"\xaa" * 8
         assert image[16:24] == b"\xaa" * 8
         assert image[24:CACHELINE_SIZE] == b"\0" * 40
-        with pytest.raises(ValueError):
-            shadow.torn_persist_image((EV_STORE, 0, b"x"), 1)
+        # Tearing the event is a crash state, not a replay step.
+        assert region.crash_image() == b"\0" * (2 * CACHELINE_SIZE)
 
     def test_persist_word_count(self):
-        from repro.faults.crashpoints import EV_PERSIST
-
-        assert ShadowImage.persist_word_count((EV_PERSIST, 0, b"x" * 8)) == 1
-        assert ShadowImage.persist_word_count((EV_PERSIST, 4, b"x" * 8)) == 2
-        assert ShadowImage.persist_word_count((EV_PERSIST, 0, b"")) == 0
-        assert ShadowImage.persist_word_count((EV_STORE, 0, b"x")) == 0
+        assert persist_word_count((EV_PERSIST, 0, b"x" * 8)) == 1
+        assert persist_word_count((EV_PERSIST, 4, b"x" * 8)) == 2
+        assert persist_word_count((EV_PERSIST, 0, b"")) == 0
+        assert persist_word_count((EV_STORE, 0, b"x")) == 0
 
     @pytest.mark.parametrize("fs_kind", ["pmfs", "hinfs"])
     def test_torn_states_sampled_and_consistent(self, fs_kind):

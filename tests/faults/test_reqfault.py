@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import HiNFS, HiNFSConfig
-from repro.faults import RequestFaultInjector
+from repro.faults import FaultInjector
 from repro.fs import flags as f
 from repro.fs.errors import MediaError
 
@@ -13,7 +13,7 @@ from tests.fs.conftest import PmfsRig
 def make_rig():
     rig = PmfsRig(size=32 << 20, fs_cls=HiNFS,
                   hconfig=HiNFSConfig(buffer_bytes=2 << 20))
-    rig.fs.request_faults = RequestFaultInjector()
+    rig.env.faults = FaultInjector()
     return rig
 
 
@@ -23,17 +23,16 @@ def rig():
 
 
 def test_injector_arm_disarm_and_max_hits():
-    injector = RequestFaultInjector(max_hits=1)
-    injector.check(None)  # untagged blocks are never hit
-    injector.check(7)  # unarmed
-    injector.arm(7)
-    assert injector.armed == frozenset({7})
-    with pytest.raises(MediaError):
-        injector.check(7)
-    injector.check(7)  # max_hits exhausted
+    injector = FaultInjector()
+    assert not injector.hit("writeback", None)  # untagged: never hit
+    assert not injector.hit("writeback", 7)  # unarmed
+    injector.arm("writeback", 7)
+    assert injector.hit("writeback", 7)
+    assert not injector.hit("writeback", 7)  # the one-hit budget is spent
     assert injector.hits == 1
-    injector.disarm(7)
-    assert injector.armed == frozenset()
+    injector.arm("writeback", 7, hits=None)
+    injector.disarm("writeback", 7)
+    assert not injector.hit("writeback", 7)
 
 
 def test_buffered_blocks_carry_the_last_request_id(rig):
@@ -52,13 +51,13 @@ def test_armed_request_fails_foreground_fsync(rig):
     rig.vfs.pwrite(rig.ctx, fd, 0, b"x" * 4096)
     ino = rig.vfs.fstat(rig.ctx, fd).ino
     (block,) = rig.fs.buffer.file_blocks(ino)
-    rig.fs.request_faults.arm(block.last_req_id)
+    rig.env.faults.arm("writeback", block.last_req_id, hits=None)
     with pytest.raises(MediaError):
         rig.vfs.fsync(rig.ctx, fd)
     # Foreground EIO: the data stays buffered for a retry, and once the
     # fault is disarmed the retry succeeds.
     assert rig.fs.buffer.file_blocks(ino)
-    rig.fs.request_faults.disarm(block.last_req_id)
+    rig.env.faults.disarm("writeback", block.last_req_id)
     rig.vfs.fsync(rig.ctx, fd)
     assert not rig.fs.buffer.file_blocks(ino)
     assert rig.vfs.pread(rig.ctx, fd, 0, 4096) == b"x" * 4096
@@ -69,7 +68,7 @@ def test_armed_request_writeback_records_deferred_error(rig):
     rig.vfs.pwrite(rig.ctx, fd, 0, b"y" * 4096)
     ino = rig.vfs.fstat(rig.ctx, fd).ino
     (block,) = rig.fs.buffer.file_blocks(ino)
-    rig.fs.request_faults.arm(block.last_req_id)
+    rig.env.faults.arm("writeback", block.last_req_id)
     # Background-style flush: nobody to raise at, so the error lands in
     # the inode's errseq and the block's unpersistable data is dropped.
     rig.fs.flush_blocks(rig.ctx, [block], record_errors=True)
@@ -81,11 +80,11 @@ def test_armed_request_writeback_records_deferred_error(rig):
 
 
 def test_unarmed_requests_are_untouched(rig):
-    rig.fs.request_faults.arm(999_999)
+    rig.env.faults.arm("writeback", 999_999)
     fd = rig.vfs.open(rig.ctx, "/ok", f.O_CREAT | f.O_RDWR)
     rig.vfs.pwrite(rig.ctx, fd, 0, b"fine")
     rig.vfs.fsync(rig.ctx, fd)
-    assert rig.fs.request_faults.hits == 0
+    assert rig.env.faults.hits == 0
 
 
 def test_writeback_spans_tag_flushed_request_ids(rig):

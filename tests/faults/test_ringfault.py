@@ -5,7 +5,7 @@ import pytest
 from repro.bench.runner import build_stack
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
-from repro.faults import RingCrash, RingFaultInjector
+from repro.faults import FaultInjector, RingCrash
 from repro.fs import flags as f
 from repro.fs.errors import MediaError
 from repro.io import ring as uring
@@ -15,6 +15,7 @@ from repro.nvmm.config import NVMMConfig
 def make_rig(fs_name="hinfs"):
     env = SimEnv()
     fs, vfs = build_stack(env, fs_name, NVMMConfig(), 48 << 20)
+    env.faults = FaultInjector()
     ctx = ExecContext(env, "ringfault-test")
     return env, fs, vfs, ctx
 
@@ -23,7 +24,7 @@ def test_failing_the_nth_sqe_turns_it_into_eio():
     env, fs, vfs, ctx = make_rig()
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector().arm_fail(1)
+    env.faults.arm("ring_op", 1)
     cqes = ring.submit_and_wait([
         uring.prep_write(fd, b"ok", 0),
         uring.prep_write(fd, b"doomed", 64),
@@ -39,7 +40,7 @@ def test_injected_failure_cancels_the_linked_chain():
     env, fs, vfs, ctx = make_rig()
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector().arm_fail(0)
+    env.faults.arm("ring_op", 0)
     cqes = ring.submit_and_wait([
         uring.prep_write(fd, b"doomed", 0, flags=uring.IOSQE_IO_LINK),
         uring.prep_fsync(fd),
@@ -53,11 +54,15 @@ def test_max_hits_limits_the_injection():
     env, fs, vfs, ctx = make_rig()
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector(fail_seqs=(0, 1), max_hits=1)
+    # Each arm has its own budget: the any-seq arm fails two SQEs, then
+    # is spent; the third write goes through.
+    env.faults.arm("ring_op", hits=2)
     cqes = ring.submit_and_wait([uring.prep_write(fd, b"a", 0),
-                                 uring.prep_write(fd, b"b", 16)])
-    assert [c.ok for c in cqes] == [False, True]
-    assert ring.faults.hits == 1
+                                 uring.prep_write(fd, b"b", 16),
+                                 uring.prep_write(fd, b"c", 32)])
+    assert [c.ok for c in cqes] == [False, False, True]
+    assert env.faults.hits == 2
+    assert env.stats.count("ring_fault_injections") == 2
 
 
 def test_crash_between_linked_write_and_fsync():
@@ -67,14 +72,14 @@ def test_crash_between_linked_write_and_fsync():
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ino = vfs.fstat(ctx, fd).ino
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector(crash_after_seq=0)
+    env.faults.arm("ring_crash", 0)
     with pytest.raises(RingCrash) as exc:
         ring.submit([uring.prep_write(fd, b"x" * 4096, 0,
                                       flags=uring.IOSQE_IO_LINK),
                      uring.prep_fsync(fd)])
     assert exc.value.seq == 0
+    assert exc.value.sqe.syscall == "write"
     # Only the write executed; the linked fsync never ran.
-    assert ring.faults.observed == [(0, "write")]
     assert env.stats.count("hinfs_fsyncs") == 0
     # The acknowledged write's CQE is reapable, and -- fsync having never
     # run -- the data still sits in the DRAM buffer, i.e. it would be
@@ -89,12 +94,13 @@ def test_crash_after_full_chain_sees_durable_data():
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ino = vfs.fstat(ctx, fd).ino
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector(crash_after_seq=1)
-    with pytest.raises(RingCrash):
+    env.faults.arm("ring_crash", 1)
+    with pytest.raises(RingCrash) as exc:
         ring.submit([uring.prep_write(fd, b"x" * 4096, 0,
                                       flags=uring.IOSQE_IO_LINK),
                      uring.prep_fsync(fd)])
     # Both ops ran before the cut; the buffer is clean.
-    assert ring.faults.observed == [(0, "write"), (1, "fsync")]
+    assert exc.value.sqe.syscall == "fsync"
+    assert [c.res for c in ring.peek()] == [4096, 0]
     assert not list(fs.buffer.file_blocks(ino))
     assert env.stats.count("hinfs_fsyncs") == 1

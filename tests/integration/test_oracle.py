@@ -25,6 +25,7 @@ through the real scheduler with 2-4 threads: interleaving may change
 timing, never data.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -42,7 +43,7 @@ from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.engine.scheduler import Scheduler
 from repro.fs import flags as f
-from repro.fs.errors import FSError
+from repro.fs.errors import FSError, InvalidArgument
 from repro.nvmm.config import NVMMConfig
 
 ORACLE_FS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd",
@@ -548,3 +549,17 @@ def test_threads_on_disjoint_files_match_reference(scripts):
             assert observed_reads[tid] == ref_reads, (fs_name, tid)
             got = vfs.read_file(verify, "/t%d" % tid)
             assert got == ref_data, (fs_name, tid, len(got), len(ref_data))
+
+
+@pytest.mark.parametrize("fs_name", ORACLE_FS)
+def test_truncate_to_negative_size_is_einval(fs_name):
+    """Every stack refuses a negative size at the VFS boundary, before
+    the fs sees it, and the file is left as it was."""
+    env = SimEnv()
+    _fs, vfs = build_stack(env, fs_name, NVMMConfig(), 8 << 20)
+    ctx = ExecContext(env, "truncate")
+    vfs.write_file(ctx, "/f", b"keep")
+    with pytest.raises(InvalidArgument):
+        vfs.truncate(ctx, "/f", -1)
+    assert vfs.stat(ctx, "/f").size == 4
+    assert vfs.read_file(ctx, "/f") == b"keep"

@@ -13,8 +13,7 @@ The properties under test, in rough order of importance:
 
 import pytest
 
-from repro.engine.stats import CAT_WRITE_ACCESS
-from repro.faults.mmiofault import MmioFaultInjector
+from repro.faults import FaultInjector
 from repro.fs import flags as f
 from repro.fs.errors import InvalidArgument, MediaError
 from repro.io import mmio
@@ -307,17 +306,21 @@ def test_truncate_trims_redo_overlay(rig):
 
 def test_fault_injector_arms_per_op(rig):
     _fd, region = amap(rig, "/m")
-    rig.fs.mmio_faults = MmioFaultInjector()
-    rig.fs.mmio_faults.arm("store", max_hits=1)
+    rig.env.faults = FaultInjector()
+    rig.env.faults.arm("mmio_store")  # any inode, one hit
     with pytest.raises(MediaError):
         region.store(rig.ctx, 0, b"boom")
     # Budget exhausted: the next store goes through.
     region.store(rig.ctx, 0, b"fine")
-    rig.fs.mmio_faults.arm("msync", ino=region.ino)
-    with pytest.raises(MediaError):
-        region.msync(rig.ctx)
-    rig.fs.mmio_faults.disarm("msync", ino=region.ino)
+    rig.env.faults.arm("mmio_msync", region.ino, hits=None)
+    rig.env.faults.arm("mmio_load", region.ino + 1)  # another inode
+    assert region.load(rig.ctx, 0, 4) == b"fine"
+    for _ in range(2):
+        with pytest.raises(MediaError):
+            region.msync(rig.ctx)
+    rig.env.faults.disarm("mmio_msync", region.ino)
     region.msync(rig.ctx)
+    assert rig.env.faults.hits == 3
 
 
 def test_checksums_off_still_works_without_crashes(rig):

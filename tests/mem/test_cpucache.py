@@ -189,3 +189,37 @@ def test_load_snapshot_rejects_size_mismatch():
     region = CachedPersistentRegion(512)
     with pytest.raises(ValueError):
         region.load_snapshot(b"\0" * 100)
+
+
+def test_torn_crash_persists_only_the_masked_words():
+    """The torn-line rule against a hand-built image: of the torn line
+    only the selected 8-byte words reach persistence, the evicted line
+    lands whole, and every other dirty line is lost."""
+    region = CachedPersistentRegion(4 * CACHELINE_SIZE)
+    region.write_nocache(0, b"\x11" * (4 * CACHELINE_SIZE))
+    region.write(0, b"\xaa" * CACHELINE_SIZE)            # line 0: torn
+    region.write(CACHELINE_SIZE, b"\xbb" * CACHELINE_SIZE)  # 1: evicted
+    region.write(3 * CACHELINE_SIZE, b"\xcc" * 8)        # line 3: lost
+    want = bytearray(b"\x11" * (4 * CACHELINE_SIZE))
+    want[8:16] = b"\xaa" * 8                             # word 1
+    want[56:64] = b"\xaa" * 8                            # word 7
+    want[CACHELINE_SIZE:2 * CACHELINE_SIZE] = b"\xbb" * CACHELINE_SIZE
+    torn = {0: 0b10000010}
+    assert region.crash_image(evict_lines=[1], torn=torn) == bytes(want)
+    assert region.dirty_line_indices() == [0, 1, 3]  # image leaves it be
+    region.crash(evict_lines=[1], torn=torn)
+    assert region.persistent_snapshot() == bytes(want)
+    assert region.read(0, 4 * CACHELINE_SIZE) == bytes(want)
+    assert not region.dirty_line_indices()
+
+
+def test_torn_index_must_name_a_dirty_line():
+    region = CachedPersistentRegion(512)
+    region.write(CACHELINE_SIZE, b"a")
+    for torn in ({0: 1}, {region.num_lines: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            region.crash_image(torn=torn)
+        with pytest.raises(ValueError):
+            region.crash(torn=torn)
+    # A rejected crash changed nothing.
+    assert region.dirty_line_indices() == [1]

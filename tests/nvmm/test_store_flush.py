@@ -197,3 +197,51 @@ def test_out_of_range_store_raises_before_any_change():
             rig.run(op(SIZE - 8, b"x" * 16, CAT_OTHERS, True))
     assert rigs[1].state() == rigs[0].state()
     assert rigs[1].state()["now"] == 1000
+
+
+def _forbid_reference_chain(dev):
+    """Make the reference methods raise: ``store_flush`` must not use
+    them, observer or fault model attached or not."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("store_flush ran the reference chain")
+    dev.write_cached = forbidden
+    dev.clflush = forbidden
+
+
+@given(store=stores(), pre_dirty=pre_dirty_lines, fence=st.booleans())
+def test_observer_runs_the_fused_path(store, pre_dirty, fence):
+    addr, data = store
+    rigs = [Rig(pre_dirty) for _ in range(2)]
+    observers = [RecordingObserver(), RecordingObserver()]
+    for rig, observer in zip(rigs, observers):
+        rig.dev.mem.observer = observer
+    _forbid_reference_chain(rigs[1].dev)
+    rigs[0].run(reference(addr, data, CAT_OTHERS, fence))
+    rigs[1].run(fused(addr, data, CAT_OTHERS, fence))
+    assert observers[1].events == observers[0].events
+    assert rigs[1].state() == rigs[0].state()
+
+
+@given(store=stores(), pre_dirty=pre_dirty_lines, fence=st.booleans(),
+       fault=st.sampled_from(["permanent", "transient", "exhausted"]),
+       pick=st.integers(0, 1 << 16))
+def test_fault_model_runs_the_fused_path(store, pre_dirty, fence, fault,
+                                         pick):
+    addr, data = store
+    rigs = [Rig(pre_dirty) for _ in range(2)]
+    touched = range(addr // CACHELINE_SIZE,
+                    (addr + max(len(data), 1) - 1) // CACHELINE_SIZE + 1)
+    line = touched[pick % len(touched)]
+    for rig in rigs:
+        model = rig.dev.attach_faults(MediaFaultModel(seed=7))
+        if fault == "permanent":
+            model.poison_line(line)
+        else:
+            limit = rig.config.media_retry_limit
+            model.inject_transient(line, limit + 1 if fault == "exhausted"
+                                   else 1)
+    _forbid_reference_chain(rigs[1].dev)
+    outcomes = [_outcome(rigs[0], reference(addr, data, CAT_OTHERS, fence)),
+                _outcome(rigs[1], fused(addr, data, CAT_OTHERS, fence))]
+    assert outcomes[1] == outcomes[0]
+    assert rigs[1].state() == rigs[0].state()
