@@ -56,6 +56,12 @@ class InvalidArgument(FSError):
     errno = _errno.EINVAL
 
 
+class NameTooLong(FSError):
+    """ENAMETOOLONG: a path component is longer than the name limit."""
+
+    errno = _errno.ENAMETOOLONG
+
+
 class NotEmpty(FSError):
     """ENOTEMPTY: directory removal with remaining entries."""
 

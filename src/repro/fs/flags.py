@@ -1,4 +1,9 @@
-"""open(2)-style flags used by the VFS syscall surface."""
+"""open(2)-style flags and limits used by the VFS syscall surface."""
+
+#: Longest file name, in UTF-8 bytes, on every stack: PMFS's on-media
+#: dirent name field (``repro.fs.pmfs.layout.DIRENT_NAME_MAX``).  The
+#: VFS rejects a longer final path component with ``ENAMETOOLONG``.
+NAME_MAX = 48
 
 O_RDONLY = 0x0
 O_WRONLY = 0x1

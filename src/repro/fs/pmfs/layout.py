@@ -14,6 +14,7 @@ transactions.
 
 import struct
 
+from repro.fs.flags import NAME_MAX
 from repro.nvmm.config import BLOCK_SIZE
 
 MAGIC = b"PMFSREPR"
@@ -134,7 +135,7 @@ def inode_addr(sb, ino):
 
 DIRENT_SIZE = 64  # one cacheline
 DIRENTS_PER_BLOCK = BLOCK_SIZE // DIRENT_SIZE
-DIRENT_NAME_MAX = 48
+DIRENT_NAME_MAX = NAME_MAX
 
 #: ino, valid, name_len, pad, name bytes
 DIRENT_FMT = "<QBB6s48s"

@@ -35,6 +35,7 @@ from repro.fs.errors import (
     InvalidArgument,
     IsADirectory,
     MediaError,
+    NameTooLong,
     NotADirectory,
     NotFound,
     ReadOnly,
@@ -207,31 +208,45 @@ class VFS:
             raise BadFileDescriptor("fd %d is not open" % fd) from None
 
     @staticmethod
-    def _split(path):
+    def _components(path):
+        """The path's components.  A final name longer than
+        :data:`repro.fs.flags.NAME_MAX` bytes is ``ENAMETOOLONG`` on
+        every stack, checked here once per syscall."""
         parts = [p for p in path.split("/") if p]
+        if parts and len(parts[-1].encode("utf-8")) > f.NAME_MAX:
+            raise NameTooLong("name longer than %d bytes in %r"
+                              % (f.NAME_MAX, path))
+        return parts
+
+    @classmethod
+    def _split(cls, path):
+        """``(directory components, final name)``."""
+        parts = cls._components(path)
         if not parts:
             raise InvalidArgument("empty path %r" % path)
         return parts[:-1], parts[-1]
 
-    def _walk(self, ctx, components):
-        """Resolve directory components from the root; returns an ino."""
+    def _walk(self, ctx, components, chain=None):
+        """Resolve directory components from the root; returns an ino.
+
+        ``chain``, when given, receives the ino of every component."""
         ino = ROOT_INO
         for name in components:
             cached = self._dcache.get((ino, name))
-            if cached is not None:
-                ino = cached
-                continue
-            ctx.charge(self.config.index_lookup_ns)
-            child = self.fs.lookup(ctx, ino, name)
-            if child is None:
-                raise NotFound("component %r not found" % name)
-            self._dcache[(ino, name)] = child
-            ino = child
+            if cached is None:
+                ctx.charge(self.config.index_lookup_ns)
+                cached = self.fs.lookup(ctx, ino, name)
+                if cached is None:
+                    raise NotFound("component %r not found" % name)
+                self._dcache[(ino, name)] = cached
+            ino = cached
+            if chain is not None:
+                chain.append(ino)
         return ino
 
-    def _resolve_parent(self, ctx, path):
+    def _resolve_parent(self, ctx, path, chain=None):
         dirs, name = self._split(path)
-        return self._walk(ctx, dirs), name
+        return self._walk(ctx, dirs, chain), name
 
     def _lookup_child(self, ctx, parent, name):
         cached = self._dcache.get((parent, name))
@@ -337,7 +352,8 @@ class VFS:
         An existing regular file at the destination is replaced (the
         POSIX overwrite semantics crash-consistency tooling cares about:
         at no crash point do both names vanish).  Replacing a directory
-        is rejected to keep the namespace model simple.
+        is rejected to keep the namespace model simple, and so is moving
+        a directory into its own subtree (``EINVAL``, as in Linux).
         """
         with ctx.syscall("rename"):
             self._syscall_entry(ctx)
@@ -346,7 +362,12 @@ class VFS:
             ino = self._lookup_child(ctx, old_parent, old_name)
             if ino is None:
                 raise NotFound(old_path)
-            new_parent, new_name = self._resolve_parent(ctx, new_path)
+            chain = []
+            new_parent, new_name = self._resolve_parent(ctx, new_path,
+                                                        chain)
+            if ino in chain:
+                raise InvalidArgument("cannot move %r into its own subtree "
+                                      "%r" % (old_path, new_path))
             if (old_parent, old_name) == (new_parent, new_name):
                 self.env.stats.ops_completed += 1
                 return
@@ -395,7 +416,7 @@ class VFS:
     def readdir(self, ctx, path):
         with ctx.syscall("readdir"):
             self._syscall_entry(ctx)
-            parts = [p for p in path.split("/") if p]
+            parts = self._components(path)
             ino = self._walk(ctx, parts)
             if not self.fs.getattr(ctx, ino).is_dir:
                 raise NotADirectory(path)
@@ -405,7 +426,7 @@ class VFS:
     def stat(self, ctx, path):
         with ctx.syscall("stat"):
             self._syscall_entry(ctx)
-            parts = [p for p in path.split("/") if p]
+            parts = self._components(path)
             ino = self._walk(ctx, parts) if parts else ROOT_INO
             self.env.stats.ops_completed += 1
             return self.fs.getattr(ctx, ino)
@@ -623,7 +644,7 @@ class VFS:
         with ctx.syscall("truncate"):
             self._syscall_entry(ctx)
             self._check_writable("truncate of %r" % path)
-            parts = [p for p in path.split("/") if p]
+            parts = self._components(path)
             ino = self._walk(ctx, parts)
             with self.ilocks.write_locked(ctx, ino):
                 with self._media_guard(ctx), ctx.layer("fs"):

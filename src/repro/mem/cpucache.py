@@ -9,21 +9,28 @@ hazard is why NVMM file systems must order metadata updates with
 ``clflush``/``mfence``; this module models all three paths so the
 journal-recovery tests can exercise real crash states.
 
-Hot-path layout (PR 7): instead of a dict of per-line ``bytearray``
-copies, the volatile state is **flat-array** -- one contiguous
-*current* slab holding the newest data (what loads observe), one
-*persistent* slab holding the durable image, and one dirty-line bitmap
-(a ``bytearray`` of 0/1 flags) between them.  A store is a single slice
-assignment plus a bitmap run; a load is a single slice copy with no
-per-line merge; a flush copies ``current -> persistent`` for exactly
-the dirty lines.  Nothing on the write/flush/crash paths allocates per
-line.
+Layout: **one slab plus a dirty-line map.**  The slab holds the newest
+bytes of every line -- what loads observe.  A line that a cached store
+made volatile also has an entry in the dirty map: its durable bytes, as
+they were when the line first became dirty.  The map *is* the dirty
+set, and it stays small (only lines stored through the cache and not
+yet flushed), so the durable image is never kept as a second copy of
+the device:
+
+- a cached store saves the old bytes of each newly dirtied line, then
+  writes the slab;
+- a flush, or a non-temporal store over a dirty line, drops the entry
+  (the slab already holds the bytes that become durable);
+- a crash writes every surviving entry back into the slab and clears
+  the map, so what remains is exactly the durable image;
+- the durable image on demand (``crash_image``,
+  ``persistent_snapshot``) is the slab with the entries overlaid.
+
+Persisted stores therefore write one slab, not two, and nothing on the
+write/flush paths allocates unless a line is stored through the cache.
 """
 
 from repro.mem.region import CACHELINE_SIZE, MemoryRegion
-
-#: Flag-run template for marking many lines dirty in one slice assign.
-_ONES = b"\x01" * 4096
 
 #: The architectural store-atomicity unit: an aligned 8-byte word always
 #: persists or vanishes as a unit (the guarantee PMFS's in-place commit
@@ -60,7 +67,7 @@ def persist_words(image, addr, data, word_mask):
 class CachedPersistentRegion:
     """Persistent bytes fronted by a volatile write-back line cache.
 
-    Reads always observe the newest data (the current slab).  ``crash()``
+    Reads always observe the newest data (the slab).  ``crash()``
     discards unflushed lines, optionally persisting an arbitrary subset
     first to model uncontrolled evictions.  Within one cacheline, a crash
     is all-or-nothing -- the architectural guarantee ("writes to the same
@@ -70,15 +77,12 @@ class CachedPersistentRegion:
 
     def __init__(self, size):
         self.size = int(size)
-        #: Durable image: what survives a crash.
-        self._persistent = MemoryRegion(size)
-        #: Newest data: durable image overlaid with volatile stores.
-        self._current = MemoryRegion(size)
-        #: One flag byte per cacheline: 1 = line differs from the
-        #: durable image (volatile).  ``_dirty_count`` caches the number
-        #: of set flags so clean-path checks are O(1).
-        self._flags = bytearray(self.num_lines)
-        self._dirty_count = 0
+        #: Newest data: the durable image overlaid with volatile stores.
+        self._slab = MemoryRegion(size)
+        #: The dirty set: ``{line: durable bytes}`` for every line that
+        #: differs from the durable image (64 bytes each, fewer for a
+        #: partial last line).  Empty means every line is clean.
+        self._saved = {}
         #: Optional persistence observer (crash-point exploration).  When
         #: set, it receives ``on_cached_write(addr, data)`` for volatile
         #: stores, ``on_persist(addr, data)`` for every byte range that
@@ -89,6 +93,13 @@ class CachedPersistentRegion:
     @property
     def num_lines(self):
         return -(-self.size // CACHELINE_SIZE)
+
+    def _saved_in(self, first, last):
+        """Dirty lines in ``[first, last]``, ascending."""
+        saved = self._saved
+        if last - first < len(saved):
+            return [line for line in range(first, last + 1) if line in saved]
+        return sorted(line for line in saved if first <= line <= last)
 
     # -- store paths ------------------------------------------------------
 
@@ -101,41 +112,32 @@ class CachedPersistentRegion:
             return
         if self.observer is not None:
             self.observer.on_cached_write(addr, bytes(data))
-        self._current.write(addr, data)
-        first = addr // CACHELINE_SIZE
-        last = (addr + length - 1) // CACHELINE_SIZE
-        nlines = last - first + 1
-        flags = self._flags
-        if self._dirty_count:
-            already = sum(flags[first : last + 1])
-            if already == nlines:
-                return
-            self._dirty_count += nlines - already
-        else:
-            self._dirty_count = nlines
-        if nlines <= len(_ONES):
-            flags[first : last + 1] = _ONES[:nlines]
-        else:
-            flags[first : last + 1] = b"\x01" * nlines
+        saved = self._saved
+        mv = self._slab._mv
+        for line in range(addr // CACHELINE_SIZE,
+                          (addr + length - 1) // CACHELINE_SIZE + 1):
+            if line not in saved:
+                base = line * CACHELINE_SIZE
+                saved[line] = bytes(mv[base : base + CACHELINE_SIZE])
+        self._slab._data[addr : addr + length] = data
 
     def write_nocache(self, addr, data):
         """A non-temporal store: bypasses the cache, immediately durable.
 
         Matches PMFS's ``copy_from_user_inatomic_nocache`` data path.
-        Dirty volatile copies of partially-covered lines are flushed first
-        so the store never resurrects stale bytes within a line.
+        Dirty lines the store overlaps are flushed first (their saved
+        bytes dropped), so a later crash cannot roll the store back to
+        stale bytes.
         """
         length = len(data)
         if addr < 0 or addr + length > self.size:
             raise IndexError("store outside region")
-        if self._dirty_count and length:
-            first = addr // CACHELINE_SIZE
-            last = (addr + length - 1) // CACHELINE_SIZE
-            if any(self._flags[first : last + 1]):
-                for line in range(first, last + 1):
-                    self._flush_line(line)
-        self._persistent.write(addr, data)
-        self._current.write(addr, data)
+        if self._saved and length:
+            for line in self._saved_in(
+                    addr // CACHELINE_SIZE,
+                    (addr + length - 1) // CACHELINE_SIZE):
+                self._flush_line(line)
+        self._slab._data[addr : addr + length] = data
         if self.observer is not None:
             self.observer.on_persist(addr, bytes(data))
 
@@ -143,13 +145,12 @@ class CachedPersistentRegion:
         """A cached store immediately followed by ``clflush`` of its range.
 
         Same end state as :meth:`write` then :meth:`clflush` over
-        ``[addr, addr+len(data))``: the store lands in the current slab,
-        every line it touches becomes durable, and none stays dirty.
-        Returns the number of lines flushed (every touched line, since
-        the store dirtied them all).  An observer receives the same
-        events as from that pair: the store, one persist per touched
-        line, then the flush boundary (only the boundary for an empty
-        store).
+        ``[addr, addr+len(data))``: the store lands in the slab and no
+        line it touches stays dirty.  Returns the number of lines
+        flushed (every touched line, since the store dirtied them all).
+        An observer receives the same events as from that pair: the
+        store, one persist per touched line, then the flush boundary
+        (only the boundary for an empty store).
         """
         length = len(data)
         if addr < 0 or addr + length > self.size:
@@ -159,29 +160,23 @@ class CachedPersistentRegion:
             if observer is not None:
                 observer.on_flush_boundary(self)
             return 0
-        # Bounds are checked above, so both slabs are addressed directly
-        # (one slice assign each, no per-call view objects).
-        current = self._current
-        current._data[addr : addr + length] = data
+        slab = self._slab
+        slab._data[addr : addr + length] = data
         first = addr // CACHELINE_SIZE
         last = (addr + length - 1) // CACHELINE_SIZE
-        nlines = last - first + 1
-        if self._dirty_count:
-            flags = self._flags
-            already = sum(flags[first : last + 1])
-            if already:
-                flags[first : last + 1] = bytes(nlines)
-                self._dirty_count -= already
-        base = first * CACHELINE_SIZE
-        end = min(base + nlines * CACHELINE_SIZE, self.size)
-        self._persistent._data[base:end] = current._mv[base:end]
+        saved = self._saved
+        if saved:
+            for line in self._saved_in(first, last):
+                del saved[line]
         if observer is not None:
             observer.on_cached_write(addr, bytes(data))
+            base = first * CACHELINE_SIZE
+            end = min((last + 1) * CACHELINE_SIZE, self.size)
             for lo in range(base, end, CACHELINE_SIZE):
                 observer.on_persist(
-                    lo, current.read(lo, min(CACHELINE_SIZE, end - lo)))
+                    lo, slab.read(lo, min(CACHELINE_SIZE, end - lo)))
             observer.on_flush_boundary(self)
-        return nlines
+        return last - first + 1
 
     # -- flush / ordering ---------------------------------------------------
 
@@ -192,13 +187,12 @@ class CachedPersistentRegion:
         which the timing layer converts into emulated NVMM write delay.
         """
         flushed = 0
-        if self._dirty_count and length > 0:
-            first = addr // CACHELINE_SIZE
-            last = (addr + length - 1) // CACHELINE_SIZE
-            if any(self._flags[first : last + 1]):
-                for line in range(first, last + 1):
-                    if self._flush_line(line):
-                        flushed += 1
+        if self._saved and length > 0:
+            for line in self._saved_in(
+                    addr // CACHELINE_SIZE,
+                    (addr + length - 1) // CACHELINE_SIZE):
+                self._flush_line(line)
+                flushed += 1
         if self.observer is not None:
             self.observer.on_flush_boundary(self)
         return flushed
@@ -210,49 +204,38 @@ class CachedPersistentRegion:
             self.observer.on_fence(self)
 
     def _flush_line(self, line):
-        if not self._flags[line]:
-            return False
-        self._flags[line] = 0
-        self._dirty_count -= 1
-        base = line * CACHELINE_SIZE
-        end = min(base + CACHELINE_SIZE, self.size)
-        self._persistent.write(base, self._current.view(base, end - base))
+        """Make dirty ``line`` durable: its newest bytes are in the slab
+        already, so only the saved entry goes."""
+        del self._saved[line]
         if self.observer is not None:
-            self.observer.on_persist(base, self._current.read(base, end - base))
-        return True
+            base = line * CACHELINE_SIZE
+            self.observer.on_persist(
+                base, bytes(self._slab._mv[base : base + CACHELINE_SIZE]))
 
     def flush_all(self):
         """Flush every dirty line (wbinvd-style; used at unmount)."""
-        flushed = 0
-        find = self._flags.find
-        line = find(1)
-        while line != -1:
-            if self._flush_line(line):
-                flushed += 1
-            line = find(1, line + 1)
-        if self.observer is not None:
+        flushed = len(self._saved)
+        if self.observer is None:
+            self._saved.clear()
+        else:
+            for line in sorted(self._saved):
+                self._flush_line(line)
             self.observer.on_flush_boundary(self)
         return flushed
 
     # -- load path --------------------------------------------------------
 
     def read(self, addr, length):
-        """Load ``length`` bytes, observing volatile lines first."""
+        """Load ``length`` bytes (the newest data)."""
         if addr < 0 or length < 0 or addr + length > self.size:
             raise IndexError("load outside region")
-        return self._current.read(addr, length)
+        return bytes(self._slab._mv[addr : addr + length])
 
     # -- crash modelling --------------------------------------------------
 
     def dirty_line_indices(self):
         """Lines currently volatile (useful for enumerating crash states)."""
-        out = []
-        find = self._flags.find
-        line = find(1)
-        while line != -1:
-            out.append(line)
-            line = find(1, line + 1)
-        return out
+        return sorted(self._saved)
 
     def _check_dirty(self, lines, what):
         """Raise :class:`ValueError` unless every index names a dirty line:
@@ -264,20 +247,44 @@ class CachedPersistentRegion:
                     "%s index %r outside region of %d lines"
                     % (what, line, self.num_lines)
                 )
-            if not self._flags[line]:
+            if line not in self._saved:
                 raise ValueError(
                     "%s index %r is not dirty; a clean line cannot "
                     "be written back at crash time" % (what, line)
                 )
 
-    def _tear(self, image, torn):
-        """Apply ``torn`` (``{dirty line: word mask}``) to ``image``: only
-        the selected 8-byte words of each line's newest bytes land."""
-        for line in sorted(torn):
+    def _torn_line(self, line, word_mask):
+        """Dirty ``line``'s durable bytes after a torn write-back: only
+        the selected 8-byte words of its newest bytes land."""
+        durable = bytearray(self._saved[line])
+        base = line * CACHELINE_SIZE
+        persist_words(durable, 0, self._slab._mv[base : base + len(durable)],
+                      word_mask)
+        return durable
+
+    def _durable_image(self, evict_lines, torn):
+        """The slab with the saved bytes of every dirty line overlaid,
+        except ``evict_lines`` (newest bytes) and ``torn`` (merged by
+        word), as one ``bytes``."""
+        mv = self._slab._mv
+        saved = self._saved
+        if not saved:
+            return bytes(mv)
+        evicted = set(evict_lines)
+        pieces = []
+        pos = 0
+        for line in sorted(saved):
+            if line in evicted:
+                continue
             base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, self.size)
-            persist_words(image, base, self._current.view(base, end - base),
-                          torn[line])
+            durable = saved[line]
+            if torn and line in torn:
+                durable = self._torn_line(line, torn[line])
+            pieces.append(mv[pos:base])
+            pieces.append(durable)
+            pos = base + len(durable)
+        pieces.append(mv[pos:])
+        return b"".join(pieces)
 
     def crash(self, evict_lines=(), torn=None):
         """Power failure: lose volatile lines, except ``evict_lines``.
@@ -295,44 +302,32 @@ class CachedPersistentRegion:
         evict_lines = list(evict_lines)
         self._check_dirty(evict_lines, "evict_lines")
         self._check_dirty(torn or (), "torn")
+        saved = self._saved
         for line in evict_lines:
-            self._flush_line(line)
+            if line in saved:
+                self._flush_line(line)
         if torn:
-            self._tear(self._persistent._data, torn)
-        # Roll the current slab back to the durable image for every line
-        # still volatile, then clear the bitmap.
-        size = self.size
-        find = self._flags.find
-        line = find(1)
-        while line != -1:
+            for line in sorted(torn):
+                if line in saved:
+                    saved[line] = self._torn_line(line, torn[line])
+        # Roll every line still volatile back to its durable bytes.
+        data = self._slab._data
+        for line, durable in saved.items():
             base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, size)
-            self._current.write(base, self._persistent.view(base, end - base))
-            line = find(1, line + 1)
-        if self._dirty_count:
-            self._flags[:] = bytes(len(self._flags))
-            self._dirty_count = 0
+            data[base : base + len(durable)] = durable
+        saved.clear()
 
     def crash_image(self, evict_lines=(), torn=None):
         """The image :meth:`crash` with the same arguments would leave
         durable, as ``bytes``; the region itself is left untouched."""
+        evict_lines = list(evict_lines)
         self._check_dirty(evict_lines, "evict_lines")
         self._check_dirty(torn or (), "torn")
-        if not evict_lines and not torn:
-            return self._persistent.snapshot()
-        image = bytearray(self._persistent._data)
-        current = self._current._mv
-        for line in evict_lines:
-            base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, self.size)
-            image[base:end] = current[base:end]
-        if torn:
-            self._tear(image, torn)
-        return bytes(image)
+        return self._durable_image(evict_lines, torn)
 
     def persistent_snapshot(self):
         """Contents as they would be read after an immediate crash."""
-        return self._persistent.snapshot()
+        return self._durable_image((), None)
 
     def load_snapshot(self, image):
         """Replace the persistent contents with ``image`` (crash-state
@@ -343,8 +338,5 @@ class CachedPersistentRegion:
                 "snapshot of %d bytes does not match region of %d bytes"
                 % (len(image), self.size)
             )
-        if self._dirty_count:
-            self._flags[:] = bytes(len(self._flags))
-            self._dirty_count = 0
-        self._persistent.write(0, image)
-        self._current.write(0, image)
+        self._saved.clear()
+        self._slab.write(0, image)

@@ -9,8 +9,9 @@ properties keep it off the simulator's own profile:
   contract is an independent ``bytes`` -- allocates.
 - **Lazy backing for big slabs.**  Regions past a threshold sit on an
   anonymous ``mmap``: creation costs no memset (the kernel hands out
-  zero pages on first touch), so a 192 MB simulated device whose
-  workload touches 2 MB pays for 2 MB.  Small regions stay plain
+  zero pages on first touch), so a 192 MB simulated NVMM device -- one
+  slab, see :mod:`repro.mem.cpucache` -- whose workload touches 2 MB
+  pays for 2 MB.  Small regions stay plain
   ``bytearray``s.  Both backings speak the buffer protocol, so every
   other path is identical.
 """

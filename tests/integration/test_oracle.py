@@ -25,6 +25,8 @@ through the real scheduler with 2-4 threads: interleaving may change
 timing, never data.
 """
 
+import errno
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +45,7 @@ from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.engine.scheduler import Scheduler
 from repro.fs import flags as f
-from repro.fs.errors import FSError, InvalidArgument
+from repro.fs.errors import FSError, InvalidArgument, NameTooLong
 from repro.nvmm.config import NVMMConfig
 
 ORACLE_FS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd",
@@ -563,3 +565,69 @@ def test_truncate_to_negative_size_is_einval(fs_name):
         vfs.truncate(ctx, "/f", -1)
     assert vfs.stat(ctx, "/f").size == 4
     assert vfs.read_file(ctx, "/f") == b"keep"
+
+
+def _names(vfs, ctx, path):
+    return sorted(name for name, _ino in vfs.readdir(ctx, path))
+
+
+@pytest.mark.parametrize("fs_name", ORACLE_FS)
+def test_rename_into_own_subtree_is_einval(fs_name):
+    """Moving a directory under itself would cut the subtree off from
+    the root; every stack refuses it and the namespace is unchanged."""
+    env = SimEnv()
+    _fs, vfs = build_stack(env, fs_name, NVMMConfig(), 8 << 20)
+    ctx = ExecContext(env, "rename")
+    vfs.mkdir(ctx, "/d")
+    vfs.mkdir(ctx, "/d/x")
+    vfs.write_file(ctx, "/d/x/f", b"kept")
+    for target in ("/d/x/e", "/d/e", "/d/x/f2"):
+        with pytest.raises(InvalidArgument):
+            vfs.rename(ctx, "/d", target)
+    with pytest.raises(InvalidArgument):
+        vfs.rename(ctx, "/d/x", "/d/x/e")
+    assert _names(vfs, ctx, "/") == ["d"]
+    assert _names(vfs, ctx, "/d") == ["x"]
+    assert _names(vfs, ctx, "/d/x") == ["f"]
+    assert vfs.read_file(ctx, "/d/x/f") == b"kept"
+    # Moving a directory sideways or up is still allowed.
+    vfs.rename(ctx, "/d/x", "/x")
+    assert _names(vfs, ctx, "/") == ["d", "x"]
+    assert vfs.read_file(ctx, "/x/f") == b"kept"
+
+
+@pytest.mark.parametrize("fs_name", ORACLE_FS)
+def test_name_too_long_is_enametoolong(fs_name):
+    """A final component over NAME_MAX UTF-8 bytes raises NameTooLong on
+    every stack and every path syscall (never a bare ValueError), and a
+    name of exactly NAME_MAX bytes still works."""
+    env = SimEnv()
+    _fs, vfs = build_stack(env, fs_name, NVMMConfig(), 8 << 20)
+    ctx = ExecContext(env, "names")
+    vfs.write_file(ctx, "/f", b"keep")
+    vfs.mkdir(ctx, "/d")
+    calls = []
+    for long_name in ("n" * 5000, "n" * (f.NAME_MAX + 1),
+                      "é" * (f.NAME_MAX // 2 + 1)):
+        path = "/d/" + long_name
+        calls += [
+            lambda p=path: vfs.open(ctx, p, f.O_CREAT | f.O_RDWR),
+            lambda p=path: vfs.mkdir(ctx, p),
+            lambda p=path: vfs.rename(ctx, "/f", p),
+            lambda p=path: vfs.unlink(ctx, p),
+            lambda p=path: vfs.rmdir(ctx, p),
+            lambda p=path: vfs.stat(ctx, p),
+            lambda p=path: vfs.truncate(ctx, p, 0),
+            lambda p=path: vfs.readdir(ctx, p),
+        ]
+    for call in calls:
+        with pytest.raises(NameTooLong) as info:
+            call()
+        assert info.value.errno == errno.ENAMETOOLONG
+    assert _names(vfs, ctx, "/") == ["d", "f"]
+    assert _names(vfs, ctx, "/d") == []
+    assert vfs.read_file(ctx, "/f") == b"keep"
+    longest = "/d/" + "é" * (f.NAME_MAX // 2)
+    vfs.rename(ctx, "/f", longest)
+    assert vfs.read_file(ctx, longest) == b"keep"
+    assert _names(vfs, ctx, "/d") == [longest[3:]]

@@ -4,9 +4,9 @@
 Each example builds two identical devices -- same dirty lines beforehand,
 same writer-slot backlog, same kind of context -- runs the reference
 sequence on one and ``store_flush`` on the other, and compares the whole
-observable state: both slabs, the dirty bitmap and count, the clock and
-breakdown buckets, slot grants, counters, ``bytes_written_nvmm`` and the
-trace phases.  With a persistence observer or a fault model attached the
+observable state: the newest bytes, the durable image, the dirty lines
+and their count, the clock and breakdown buckets, slot grants,
+counters, ``bytes_written_nvmm`` and the trace phases.  With a persistence observer or a fault model attached the
 fused call must reproduce the observer's event list and the
 ``MediaError`` exactly as well.
 """
@@ -84,10 +84,10 @@ class Rig:
         stats = self.env.stats
         slots = self.dev.write_slots
         return {
-            "current": mem._current.snapshot(),
-            "persistent": mem._persistent.snapshot(),
-            "flags": bytes(mem._flags),
-            "dirty_count": mem._dirty_count,
+            "current": mem.read(0, mem.size),
+            "persistent": mem.persistent_snapshot(),
+            "dirty": mem.dirty_line_indices(),
+            "dirty_count": len(mem.dirty_line_indices()),
             "now": self.ctx.now,
             "breakdown": {k: v for k, v in stats.breakdown.as_dict().items()
                           if v},
